@@ -38,10 +38,11 @@ type Remapper = graph.Remapper
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// LoadFile reads a graph by file extension (text edge list or .esg binary).
+// LoadFile reads a graph by file extension (text edge list or .esc packed
+// CSR).
 func LoadFile(path string) (*Graph, *Remapper, error) { return graph.LoadFile(path) }
 
-// SaveFile writes a graph by file extension (text, .esg binary, .dot).
+// SaveFile writes a graph by file extension (text, .esc packed CSR, .dot).
 func SaveFile(path string, g *Graph, rm *Remapper) error { return graph.SaveFile(path, g, rm) }
 
 // ReadEdgeList parses a SNAP-style edge list stream.

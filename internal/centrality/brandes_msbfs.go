@@ -44,6 +44,7 @@ package centrality
 import (
 	"math/bits"
 	"sort"
+	"sync"
 	"time"
 
 	"edgeshed/internal/graph"
@@ -510,10 +511,31 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	batchOcc := sp.Histogram("msbfs.batch_occupancy")
 	batchMk := sp.Marker(obs.EvBatch, "betweenness")
 	switchMk := sp.Marker(obs.EvDirSwitch, "betweenness")
+	// Shard partials fold into the totals in shard order — the order that
+	// fixes the sums' bits — as soon as every earlier shard has folded, so
+	// only shards finished ahead of an unfinished one wait in memory (none
+	// at one worker) instead of all of them until the end.
 	type partial struct {
 		nodes, edges []float64
 	}
+	var mu sync.Mutex
 	parts := make([]partial, shards)
+	ready := make([]bool, shards)
+	next := 0
+	fold := func(k int, p partial) {
+		mu.Lock()
+		defer mu.Unlock()
+		parts[k], ready[k] = p, true
+		for ; next < shards && ready[next]; next++ {
+			for i, v := range parts[next].nodes {
+				nodes[i] += v
+			}
+			for i, v := range parts[next].edges {
+				edges[i] += v
+			}
+			parts[next] = partial{}
+		}
+	}
 	par.Run(workers, func(w int) {
 		var t0 time.Time
 		if sp.Enabled() {
@@ -554,7 +576,7 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 				done += int64(hi - lo)
 				sp.Done(int64(hi - lo))
 			}
-			parts[k] = partial{nodes: nodeAcc, edges: edgeAcc}
+			fold(k, partial{nodes: nodeAcc, edges: edgeAcc})
 		}
 		if sp.Enabled() {
 			s := st.tr.Stats()
@@ -567,11 +589,6 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 		}
 	})
 	if wantNodes {
-		for _, p := range parts {
-			for i, v := range p.nodes {
-				nodes[i] += v
-			}
-		}
 		// Each unordered pair is seen from both endpoints in an exact run:
 		// halve. Sampled runs estimate the same quantity via scale/2.
 		for i := range nodes {
@@ -579,11 +596,6 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 		}
 	}
 	if wantEdges {
-		for _, p := range parts {
-			for i, v := range p.edges {
-				edges[i] += v
-			}
-		}
 		for i := range edges {
 			edges[i] *= scale / 2
 		}

@@ -142,17 +142,25 @@ func canonicalBrandesSource(c *graph.CSR, src graph.NodeID, dist []int32, sigma,
 		}
 	}
 	if edgeAcc != nil {
-		for e := range c.EdgeU {
-			u, v := c.EdgeU[e], c.EdgeV[e]
-			du, dv := dist[u], dist[v]
-			if du < 0 || dv < 0 {
-				continue
-			}
-			switch {
-			case dv == du+1:
-				edgeAcc[e] += sigma[u] * ((1 + delta[v]) / sigma[v])
-			case du == dv+1:
-				edgeAcc[e] += sigma[v] * ((1 + delta[u]) / sigma[u])
+		// Each edge is visited once, at the slot of its smaller endpoint.
+		for ui := 0; ui < n; ui++ {
+			u := graph.NodeID(ui)
+			for s := c.Offsets[ui]; s < c.Offsets[ui+1]; s++ {
+				v := c.Targets[s]
+				if v < u {
+					continue
+				}
+				e := c.EdgeID[s]
+				du, dv := dist[u], dist[v]
+				if du < 0 || dv < 0 {
+					continue
+				}
+				switch {
+				case dv == du+1:
+					edgeAcc[e] += sigma[u] * ((1 + delta[v]) / sigma[v])
+				case du == dv+1:
+					edgeAcc[e] += sigma[v] * ((1 + delta[u]) / sigma[u])
+				}
 			}
 		}
 	}

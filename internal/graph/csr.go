@@ -6,20 +6,22 @@ import (
 )
 
 // CSR is a compressed-sparse-row view of a Graph: the adjacency structure
-// flattened into contiguous arrays so that traversal kernels (Brandes, BFS
-// profiles, PageRank) index with integers instead of chasing per-node slices
-// or hashing Edge keys. The paper's Phase 1 cost is dominated by exactly such
-// kernels, and index-array adjacency is the SNAP-style substrate DESIGN.md §1
-// promises for this package.
+// as contiguous arrays so that traversal kernels (Brandes, BFS profiles,
+// PageRank) index with integers instead of hashing Edge keys. The paper's
+// Phase 1 cost is dominated by exactly such kernels, and index-array
+// adjacency is the SNAP-style substrate DESIGN.md §1 promises for this
+// package.
 //
 // Each undirected edge occupies two slots, one in each endpoint's range, so
 // len(Targets) == 2·NumEdges(). A "slot" is an index into Targets/EdgeID/Mate.
 // Node u owns slots Offsets[u] to Offsets[u+1] (exclusive), and within that
 // range Targets is sorted ascending — the same order as Graph.Neighbors(u).
 //
-// The view is built once per graph, cached, and immutable; like the Graph it
-// is derived from, it is safe for concurrent readers. All fields are exported
-// for zero-overhead access in hot loops but must be treated as read-only.
+// Offsets and Targets are the graph's own adjacency arrays, aliased rather
+// than copied; only the slot index (EdgeID, Mate) is derived, once per
+// graph, and cached. The view is immutable; like the Graph it is derived
+// from, it is safe for concurrent readers. All fields are exported for
+// zero-overhead access in hot loops but must be treated as read-only.
 type CSR struct {
 	// Offsets has length NumNodes()+1. Node u's adjacency slots are
 	// Offsets[u] .. Offsets[u+1]-1; Offsets[NumNodes()] == 2·NumEdges().
@@ -36,12 +38,6 @@ type CSR struct {
 	// targets w, then Mate[s] sits in w's range and targets u, with
 	// EdgeID[s] == EdgeID[Mate[s]] and Mate[Mate[s]] == s.
 	Mate []int32
-	// EdgeU and EdgeV are the canonical endpoints of each edge, indexed by
-	// edge id: EdgeU[i] <= EdgeV[i] and Graph.Edges()[i] == {EdgeU[i],
-	// EdgeV[i]}. They are the structure-of-arrays twin of Graph.Edges() for
-	// kernels whose inner loops index endpoints by edge id (the CRR swap
-	// loop, targeted repair) and want no Edge struct values in flight.
-	EdgeU, EdgeV []NodeID
 }
 
 // NumNodes returns the number of nodes in the underlying graph.
@@ -85,11 +81,11 @@ func (c *CSR) EdgeIDOf(u, v NodeID) int32 {
 	return -1
 }
 
-// CSR returns the graph's compressed-sparse-row view, building it on first
-// use and caching it for the graph's lifetime. Concurrent callers are safe:
-// the build happens exactly once.
+// CSR returns the graph's compressed-sparse-row view, building its slot
+// index on first use and caching it for the graph's lifetime. Concurrent
+// callers are safe: the build happens exactly once.
 func (g *Graph) CSR() *CSR {
-	g.csrOnce.Do(func() { g.csr = buildCSR(g) })
+	g.csrOnce.Do(func() { g.csr = buildSlotIndex(g) })
 	return g.csr
 }
 
@@ -97,8 +93,8 @@ func (g *Graph) CSR() *CSR {
 // int32 index space: node ids must fit NodeID, and the 2m half-edge slots
 // must be addressable by int32 (Offsets, EdgeID and Mate are all int32).
 // Without this check a graph just over the limit would silently wrap slot
-// indices and corrupt the view; with it, oversized graphs fail loudly here
-// and in the writers that reuse the check (WriteBinary, WritePacked).
+// indices and corrupt the view; with it, oversized graphs fail loudly in
+// newGraph and in the packed writers that reuse the check.
 func csrBounds(n, m int) error {
 	if int64(n) > math.MaxInt32 {
 		return fmt.Errorf("graph: %d nodes overflow int32 node ids (max %d)", n, math.MaxInt32)
@@ -110,53 +106,34 @@ func csrBounds(n, m int) error {
 	return nil
 }
 
-// buildCSR flattens g's adjacency in one pass over the sorted edge list.
-//
-// Because Edges() is sorted by (U, V) with U < V, scanning it in order
-// appends each node's neighbors in ascending order: for node u, all partners
-// a < u arrive first (from edges (a, u), globally sorted by a), then all
-// partners b > u (from the contiguous (u, b) block, sorted by b). The
-// resulting Targets ranges therefore match Neighbors() exactly, and the two
-// slots of edge i are linked as mates as they are written.
-func buildCSR(g *Graph) *CSR {
-	n := g.NumNodes()
-	m := g.NumEdges()
-	if err := csrBounds(n, m); err != nil {
-		// CSR() has no error path (the view is built lazily inside cached
-		// accessors); corrupting indices silently is the one unacceptable
-		// outcome, so overflow is a loud stop.
-		panic(err)
+// buildSlotIndex derives the CSR slot index of g in one pass over the
+// sorted edge list. The pass walks each node's slot range with the same
+// cursors newGraph filled Targets with, so edge i lands on the two slots
+// that target its endpoints, and those slots are linked as mates as they are
+// written.
+func buildSlotIndex(g *Graph) *CSR {
+	n, m := g.NumNodes(), g.NumEdges()
+	offsets := g.offsets
+	if offsets == nil {
+		offsets = []int32{0} // the zero Graph
 	}
 	c := &CSR{
-		Offsets: make([]int32, n+1),
-		Targets: make([]NodeID, 2*m),
+		Offsets: offsets,
+		Targets: g.targets,
 		EdgeID:  make([]int32, 2*m),
 		Mate:    make([]int32, 2*m),
-		EdgeU:   make([]NodeID, m),
-		EdgeV:   make([]NodeID, m),
 	}
-	for _, e := range g.edges {
-		c.Offsets[e.U+1]++
-		c.Offsets[e.V+1]++
-	}
-	for u := 0; u < n; u++ {
-		c.Offsets[u+1] += c.Offsets[u]
-	}
-	// cur[u] is the next free slot in u's range during the fill pass.
+	// cur[u] is the next unindexed slot in u's range.
 	cur := make([]int32, n)
-	copy(cur, c.Offsets[:n])
+	copy(cur, offsets[:n])
 	for i, e := range g.edges {
 		su, sv := cur[e.U], cur[e.V]
 		cur[e.U]++
 		cur[e.V]++
-		c.Targets[su] = e.V
-		c.Targets[sv] = e.U
 		c.EdgeID[su] = int32(i)
 		c.EdgeID[sv] = int32(i)
 		c.Mate[su] = sv
 		c.Mate[sv] = su
-		c.EdgeU[i] = e.U
-		c.EdgeV[i] = e.V
 	}
 	return c
 }

@@ -13,7 +13,7 @@ import (
 	"edgeshed/internal/obs"
 )
 
-// External-sort packing: edge-list → ESC1 without ever holding the graph in
+// External-sort packing: edge-list → ESC without ever holding the graph in
 // memory. The canonical uint64 edge keys stream out of the parallel parser
 // into a bounded buffer; each time the buffer fills it is sorted,
 // deduplicated and spilled to a temp file, and the spill files are k-way
@@ -22,10 +22,11 @@ import (
 // memory is the key buffer (MemBudget) plus two O(|V|) int32 arrays
 // (degrees and fill cursors), never the O(|E|) edge set.
 //
-// The fill pass mirrors buildCSR statement for statement, so the packed
-// file is byte-identical to WritePackedFile of the in-RAM graph — pinned by
-// test. The remapper is the one in-memory structure proportional to |V|
-// that cannot be avoided: first-seen dense-id assignment needs the id map.
+// The fill pass mirrors newGraph's adjacency fill and buildSlotIndex
+// statement for statement, so the packed file is byte-identical to
+// WritePackedFile of the in-RAM graph — pinned by test. The remapper is the
+// one in-memory structure proportional to |V| that cannot be avoided:
+// first-seen dense-id assignment needs the id map.
 
 // defaultMemBudget is the spill buffer size when PackOptions.MemBudget is
 // unset: 256 MiB of keys, 32 Mi edges per spill chunk.
@@ -63,7 +64,7 @@ type PackStats struct {
 	BytesOut int64
 }
 
-// PackEdgeListFile streams the SNAP edge list at inPath into an ESC1
+// PackEdgeListFile streams the SNAP edge list at inPath into an ESC
 // packed-CSR file at outPath under a bounded memory budget, so graphs
 // larger than RAM can be packed. The output is byte-identical to loading
 // the list in RAM and calling WritePackedFile with OrderKeep.
@@ -233,16 +234,14 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 		offsets[u+1] = offsets[u] + deg[u]
 	}
 
-	// Pass 2: merge again and fill the arrays exactly as buildCSR does, so
-	// the file is byte-identical to the in-RAM pack.
+	// Pass 2: merge again and fill the arrays exactly as newGraph and
+	// buildSlotIndex do, so the file is byte-identical to the in-RAM pack.
 	fill := opt.Obs.Start("merge.fill")
 	fill.SetTotal(int64(m))
 	targets := viewInt32s(data, l.targetsOff, 2*m)
 	edgeID := viewInt32s(data, l.edgeIDOff, 2*m)
 	mate := viewInt32s(data, l.mateOff, 2*m)
-	edgeU := viewInt32s(data, l.edgeUOff, m)
-	edgeV := viewInt32s(data, l.edgeVOff, m)
-	edgeUV := viewInt32s(data, l.edgeUVOff, 2*m)
+	edges := viewEdges(data, l.edgesOff, m)
 	cur := make([]int32, n)
 	copy(cur, offsets[:n])
 	{
@@ -273,10 +272,7 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 			edgeID[sv] = id
 			mate[su] = sv
 			mate[sv] = su
-			edgeU[id] = int32(e.U)
-			edgeV[id] = int32(e.V)
-			edgeUV[2*id] = int32(e.U)
-			edgeUV[2*id+1] = int32(e.V)
+			edges[id] = e
 			id++
 			fill.Done(1)
 		}
@@ -292,15 +288,7 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	fill.End()
 
 	// Header last: the checksum covers the now-complete payload.
-	copy(data[0:4], packMagic[:])
-	binary.LittleEndian.PutUint32(data[4:8], packVersion)
-	binary.LittleEndian.PutUint64(data[8:16], flags)
-	binary.LittleEndian.PutUint64(data[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(data[24:32], uint64(m))
-	binary.LittleEndian.PutUint64(data[32:40], uint64(crc32.Checksum(data[packHeaderSize:], castagnoli)))
-	for i := 40; i < packHeaderSize; i++ {
-		data[i] = 0
-	}
+	putPackHeader(data, flags, n, m, crc32.Checksum(data[packHeaderSize:], castagnoli))
 	if err := flushMap(out, data); err != nil {
 		return nil, err
 	}

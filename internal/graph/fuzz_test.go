@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -25,43 +24,6 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if rm.Len() != g.NumNodes() {
 			t.Fatalf("remapper has %d labels for %d nodes", rm.Len(), g.NumNodes())
-		}
-	})
-}
-
-// FuzzReadBinary asserts the binary parser never panics and that any graph
-// it accepts round-trips identically.
-func FuzzReadBinary(f *testing.F) {
-	good := func(edges []Edge, n int) []byte {
-		g := MustFromEdges(n, edges)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(good([]Edge{{U: 0, V: 1}, {U: 1, V: 2}}, 3))
-	f.Add(good(nil, 0))
-	f.Add([]byte("ESG1 garbage"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph invalid: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-			t.Fatalf("round trip changed shape: %v vs %v", g2, g)
 		}
 	})
 }

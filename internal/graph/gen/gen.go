@@ -65,15 +65,15 @@ func baLike(n, mPer int, pt float64, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
-	// adj mirrors the builder so triad closure can sample neighbors in O(1)
+	// nbrs mirrors the builder so triad closure can sample neighbors in O(1)
 	// without finalizing the graph mid-build.
-	adj := make([][]graph.NodeID, n)
+	nbrs := make([][]graph.NodeID, n)
 	addEdge := func(u, v graph.NodeID) bool {
 		if !b.TryAddEdge(u, v) {
 			return false
 		}
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		nbrs[u] = append(nbrs[u], v)
+		nbrs[v] = append(nbrs[v], u)
 		return true
 	}
 	// Seed clique over the first m0 nodes. The repeated-endpoint list is the
@@ -90,9 +90,9 @@ func baLike(n, mPer int, pt float64, seed int64) *graph.Graph {
 		var prev graph.NodeID = -1
 		for attempts := 0; added < mPer && attempts < 50*mPer; attempts++ {
 			var target graph.NodeID
-			if prev >= 0 && pt > 0 && rng.Float64() < pt && len(adj[prev]) > 0 {
+			if prev >= 0 && pt > 0 && rng.Float64() < pt && len(nbrs[prev]) > 0 {
 				// Triad closure: link to a random neighbor of the previous target.
-				target = adj[prev][rng.Intn(len(adj[prev]))]
+				target = nbrs[prev][rng.Intn(len(nbrs[prev]))]
 			} else {
 				target = repeated[rng.Intn(len(repeated))]
 			}

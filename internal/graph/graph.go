@@ -1,7 +1,6 @@
 // Package graph provides the undirected-graph substrate used by every other
-// package in this repository: a compact adjacency-list representation with a
-// canonical edge list, a flat CSR view for traversal kernels, subgraph
-// extraction, I/O and validation.
+// package in this repository: one compressed-sparse-row topology over a
+// canonical edge list, subgraph extraction, I/O and validation.
 //
 // Nodes are dense indices in [0, NumNodes). Loaders and builders remap
 // arbitrary external identifiers onto this dense range. Edges are undirected
@@ -15,8 +14,9 @@
 // whose every slot carries that edge id (CSR.EdgeID), so algorithms that
 // accumulate per-edge quantities — Brandes edge betweenness above all — can
 // write edgeAcc[EdgeID[slot]] with pure array indexing instead of hashing a
-// map[Edge] key per visit. The view is built lazily once per graph, cached,
-// and safe for concurrent readers like the Graph itself.
+// map[Edge] key per visit. The view's Offsets and Targets are the graph's
+// own arrays; only the slot index (EdgeID, Mate) is built, lazily once per
+// graph, cached, and safe for concurrent readers like the Graph itself.
 package graph
 
 import (
@@ -62,15 +62,58 @@ func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
 // Graph is an immutable undirected graph over dense node ids.
 //
+// It holds the topology exactly once: the canonical edge list plus the
+// compressed-sparse-row adjacency (offsets, targets) derived from it. Node
+// u's neighbors are targets[offsets[u]:offsets[u+1]], sorted ascending. The
+// per-slot edge-id and mate index that edge-accumulating kernels need is
+// built lazily by CSR().
+//
 // Build one with a Builder, a generator from the gen subpackage, or a reader
 // from io.go. The zero value is an empty graph with no nodes. Graph values
 // are safe for concurrent readers; they are never mutated after construction.
 type Graph struct {
-	adj   [][]NodeID // adj[u] sorted ascending
-	edges []Edge     // canonical, sorted by (U, V)
+	edges   []Edge   // canonical, sorted by (U, V)
+	offsets []int32  // len NumNodes()+1; nil only for the zero Graph
+	targets []NodeID // 2·NumEdges() slots, each node's range sorted ascending
 
-	csrOnce sync.Once // guards the lazily built CSR view
+	csrOnce sync.Once // guards the lazily built slot index
 	csr     *CSR
+}
+
+// newGraph is the one constructor that fills a graph's adjacency: it takes
+// ownership of edges, which must be canonical, strictly sorted by (U, V)
+// and inside [0, n), and derives offsets and targets with a counting pass
+// and a fill pass. Because the edge list is sorted, scanning it in order
+// appends each node's neighbors in ascending order — for node u, every
+// partner a < u arrives first (from edges (a, u), globally sorted by a),
+// then every partner b > u (from the contiguous (u, b) block) — so no
+// per-node sort is needed.
+func newGraph(n int, edges []Edge) *Graph {
+	if err := csrBounds(n, len(edges)); err != nil {
+		// Graph construction has no error path; silently wrapping int32
+		// slot indices is the one unacceptable outcome, so overflow is a
+		// loud stop.
+		panic(err)
+	}
+	offsets := make([]int32, n+1)
+	for _, e := range edges {
+		offsets[e.U+1]++
+		offsets[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	targets := make([]NodeID, 2*len(edges))
+	// cur[u] is the next free slot in u's range during the fill pass.
+	cur := make([]int32, n)
+	copy(cur, offsets[:n])
+	for _, e := range edges {
+		targets[cur[e.U]] = e.V
+		targets[cur[e.V]] = e.U
+		cur[e.U]++
+		cur[e.V]++
+	}
+	return &Graph{edges: edges, offsets: offsets, targets: targets}
 }
 
 // NewFromEdges constructs a graph with n nodes and the given edges. Edges may
@@ -98,17 +141,20 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 }
 
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return max(len(g.offsets)-1, 0) }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Degree returns the degree of node u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u NodeID) int { return int(g.offsets[u+1] - g.offsets[u]) }
 
 // Neighbors returns the sorted neighbor list of u. The returned slice is
 // owned by the graph and must not be modified.
-func (g *Graph) Neighbors(u NodeID) []NodeID { return g.adj[u] }
+func (g *Graph) Neighbors(u NodeID) []NodeID {
+	lo, hi := g.offsets[u], g.offsets[u+1]
+	return g.targets[lo:hi:hi]
+}
 
 // Edges returns the canonical edge list sorted by (U, V). The returned slice
 // is owned by the graph and must not be modified.
@@ -117,32 +163,33 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // HasEdge reports whether the undirected edge (u, v) exists. It runs in
 // O(log deg) via binary search on the smaller adjacency list.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	if u < 0 || v < 0 || int(u) >= len(g.adj) || int(v) >= len(g.adj) || u == v {
+	n := NodeID(g.NumNodes())
+	if u < 0 || v < 0 || u >= n || v >= n || u == v {
 		return false
 	}
-	if len(g.adj[u]) > len(g.adj[v]) {
+	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
 	return i < len(a) && a[i] == v
 }
 
 // AvgDegree returns the average degree 2|E|/|V|, or 0 for an empty graph.
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.NumNodes() == 0 {
 		return 0
 	}
-	return 2 * float64(len(g.edges)) / float64(len(g.adj))
+	return 2 * float64(len(g.edges)) / float64(g.NumNodes())
 }
 
 // MaxDegree returns the largest degree in the graph, or 0 if there are no
 // nodes.
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, a := range g.adj {
-		if len(a) > max {
-			max = len(a)
+	for u := range g.NumNodes() {
+		if d := g.Degree(NodeID(u)); d > max {
+			max = d
 		}
 	}
 	return max
@@ -150,26 +197,11 @@ func (g *Graph) MaxDegree() int {
 
 // Degrees returns a fresh slice d with d[u] = Degree(u).
 func (g *Graph) Degrees() []int {
-	d := make([]int, len(g.adj))
-	for u, a := range g.adj {
-		d[u] = len(a)
+	d := make([]int, g.NumNodes())
+	for u := range d {
+		d[u] = g.Degree(NodeID(u))
 	}
 	return d
-}
-
-// Clone returns a deep copy of g. Because graphs are immutable this is only
-// needed when a caller wants to hand ownership across an API that might
-// outlive g's backing arrays.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:   make([][]NodeID, len(g.adj)),
-		edges: make([]Edge, len(g.edges)),
-	}
-	copy(c.edges, g.edges)
-	for u, a := range g.adj {
-		c.adj[u] = append([]NodeID(nil), a...)
-	}
-	return c
 }
 
 // Subgraph returns a new graph over the same node set containing exactly the
@@ -193,15 +225,10 @@ func (g *Graph) Subgraph(edges []Edge) (*Graph, error) {
 // which must be sorted ascending and duplicate-free. It is the id-native
 // fast path behind the shedding reducers: because the canonical edge list is
 // sorted by (U, V), selecting ascending ids yields the subgraph's edge list
-// and adjacency already in order, so the whole construction is two linear
-// passes with no hashing, no edge re-sort and a single backing allocation
-// for all adjacency lists.
+// already in order, so construction is one selection pass plus newGraph's
+// counting fill, with no hashing and no edge re-sort.
 func (g *Graph) SubgraphByIDs(ids []int32) (*Graph, error) {
-	sub := &Graph{
-		adj:   make([][]NodeID, len(g.adj)),
-		edges: make([]Edge, len(ids)),
-	}
-	deg := make([]int, len(g.adj))
+	edges := make([]Edge, len(ids))
 	prev := int32(-1)
 	for i, id := range ids {
 		if id <= prev {
@@ -211,57 +238,9 @@ func (g *Graph) SubgraphByIDs(ids []int32) (*Graph, error) {
 			return nil, fmt.Errorf("graph: subgraph edge id %d outside [0,%d)", id, len(g.edges))
 		}
 		prev = id
-		e := g.edges[id]
-		sub.edges[i] = e
-		deg[e.U]++
-		deg[e.V]++
+		edges[i] = g.edges[id]
 	}
-	backing := make([]NodeID, 0, 2*len(ids))
-	for u, d := range deg {
-		if d > 0 {
-			sub.adj[u] = backing[len(backing) : len(backing) : len(backing)+d]
-			backing = backing[:len(backing)+d]
-		}
-	}
-	for _, e := range sub.edges {
-		sub.adj[e.U] = append(sub.adj[e.U], e.V)
-		sub.adj[e.V] = append(sub.adj[e.V], e.U)
-	}
-	return sub, nil
-}
-
-// InducedSubgraph returns the subgraph induced by the given node set: the
-// same node-id space with exactly the edges whose endpoints are both in the
-// set. Duplicate nodes in the input are tolerated.
-func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, error) {
-	in := make(map[NodeID]struct{}, len(nodes))
-	for _, u := range nodes {
-		if u < 0 || int(u) >= g.NumNodes() {
-			return nil, fmt.Errorf("graph: induced node %d outside [0,%d)", u, g.NumNodes())
-		}
-		in[u] = struct{}{}
-	}
-	b := NewBuilder(g.NumNodes())
-	for _, e := range g.edges {
-		if _, ok := in[e.U]; !ok {
-			continue
-		}
-		if _, ok := in[e.V]; !ok {
-			continue
-		}
-		b.TryAddEdge(e.U, e.V)
-	}
-	return b.Graph(), nil
-}
-
-// Density returns |E| / C(|V|, 2), the fraction of possible edges present;
-// 0 for graphs with fewer than two nodes.
-func (g *Graph) Density() float64 {
-	n := g.NumNodes()
-	if n < 2 {
-		return 0
-	}
-	return float64(g.NumEdges()) / (float64(n) * float64(n-1) / 2)
+	return newGraph(g.NumNodes(), edges), nil
 }
 
 // EdgeSet returns the edges as a set keyed by canonical edge. The map is
@@ -279,19 +258,22 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{|V|=%d |E|=%d}", g.NumNodes(), g.NumEdges())
 }
 
-// Bytes estimates the resident memory of the graph's data structures:
-// adjacency lists (two 4-byte entries per edge), the canonical edge list
-// (8 bytes per edge) and slice headers. It quantifies the storage saving of
-// a reduction — the paper's first motivation — without depending on the
-// runtime's allocator.
+// Bytes estimates the resident memory of the graph's data structures: the
+// canonical edge list (8 bytes per edge), the adjacency targets (two 4-byte
+// slots per edge), the offsets (4 bytes per node plus one) and the three
+// slice headers. The lazily built slot index is not counted: it is a kernel
+// working structure, not part of the stored graph. It quantifies the
+// storage saving of a reduction — the paper's first motivation — without
+// depending on the runtime's allocator.
 func (g *Graph) Bytes() int64 {
 	const (
 		sliceHeader = 24 // ptr + len + cap
-		nodeIDSize  = 4
+		int32Size   = 4
 		edgeSize    = 8
 	)
-	total := int64(2*sliceHeader) + int64(len(g.adj))*sliceHeader
-	total += int64(2*g.NumEdges()) * nodeIDSize // adjacency entries
-	total += int64(g.NumEdges()) * edgeSize     // edge list
+	total := int64(3 * sliceHeader)
+	total += int64(g.NumNodes()+1) * int32Size // offsets
+	total += int64(2*g.NumEdges()) * int32Size // targets
+	total += int64(g.NumEdges()) * edgeSize    // edge list
 	return total
 }

@@ -130,20 +130,6 @@ func TestNewFromEdgesErrors(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := path5()
-	c := g.Clone()
-	if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-		t.Fatalf("clone shape mismatch: %v vs %v", c, g)
-	}
-	// Mutate the clone's backing arrays; the original must be unaffected.
-	c.adj[0][0] = 99
-	c.edges[0] = Edge{9, 9}
-	if g.adj[0][0] == 99 || g.edges[0] == (Edge{9, 9}) {
-		t.Error("Clone shares memory with original")
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := path5()
 	sub, err := g.Subgraph([]Edge{{1, 0}, {2, 3}})
@@ -201,41 +187,6 @@ func TestDegreesMatchAdjacency(t *testing.T) {
 	}
 	if sum != 2*g.NumEdges() {
 		t.Errorf("handshake: sum deg = %d, want %d", sum, 2*g.NumEdges())
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := path5()
-	sub, err := g.InducedSubgraph([]NodeID{0, 1, 2, 4})
-	if err != nil {
-		t.Fatalf("InducedSubgraph: %v", err)
-	}
-	// Edges fully inside {0,1,2,4}: (0,1) and (1,2); (3,4) drops out.
-	if sub.NumEdges() != 2 || !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Errorf("induced edges = %v, want (0,1),(1,2)", sub.Edges())
-	}
-	if sub.HasEdge(3, 4) {
-		t.Error("edge with excluded endpoint kept")
-	}
-	// Duplicates tolerated, out-of-range rejected.
-	if _, err := g.InducedSubgraph([]NodeID{1, 1, 2}); err != nil {
-		t.Errorf("duplicate nodes rejected: %v", err)
-	}
-	if _, err := g.InducedSubgraph([]NodeID{99}); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-}
-
-func TestDensity(t *testing.T) {
-	if got := path5().Density(); got != 4.0/10.0 {
-		t.Errorf("P5 density = %v, want 0.4", got)
-	}
-	var empty Graph
-	if empty.Density() != 0 {
-		t.Error("empty density != 0")
-	}
-	if got := MustFromEdges(1, nil).Density(); got != 0 {
-		t.Errorf("singleton density = %v, want 0", got)
 	}
 }
 

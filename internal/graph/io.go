@@ -55,10 +55,10 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 }
 
 // LoadFile reads a graph from path, selecting the format by extension:
-// ".esc" is the mmap-able packed-CSR format, ".esg" the binary format, and
-// anything else the text edge list. Binary files carry no external labels,
-// so their remapper is the identity over dense ids; packed files store the
-// original labels (or an identity flag).
+// ".esc" is the mmap-able packed-CSR format and anything else the text edge
+// list. Packed files store the original labels (or an identity flag). The
+// retired ".esg" binary format is refused with a pointer to gpack rather
+// than parsed as text.
 func LoadFile(path string) (*Graph, *Remapper, error) {
 	return LoadFileObs(path, nil)
 }
@@ -77,31 +77,33 @@ func LoadFileObs(path string, sp *obs.Span) (*Graph, *Remapper, error) {
 		// keep the graph for the process lifetime.
 		return p.Graph(), p.Remapper(), nil
 	case strings.HasSuffix(path, ".esg"):
-		g, err := ReadBinaryFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, IdentityRemapper(g.NumNodes()), nil
+		return nil, nil, errRetiredESG(path)
 	}
 	return readEdgeListFileObs(path, sp)
 }
 
 // SaveFile writes a graph to path, selecting the format by extension as in
 // LoadFile, plus ".dot" for Graphviz rendering. The remapper is stored in
-// ".esc" output and used to translate text output; it is ignored for binary
-// and DOT output (those formats store dense ids).
+// ".esc" output and used to translate text output; it is ignored for DOT
+// output, which stores dense ids.
 func SaveFile(path string, g *Graph, rm *Remapper) error {
 	switch {
 	case strings.HasSuffix(path, ".esc"):
 		return WritePackedFile(path, g, rm, PackWriteOptions{})
 	case strings.HasSuffix(path, ".esg"):
-		return WriteBinaryFile(path, g)
+		return errRetiredESG(path)
 	case strings.HasSuffix(path, ".dot"):
 		return writeFileWith(path, func(w io.Writer) error {
 			return WriteDOT(w, g, DOTOptions{DropIsolated: true})
 		})
 	}
 	return WriteEdgeListFile(path, g, rm)
+}
+
+// errRetiredESG is the error for a path in the retired ".esg" binary
+// format, which the packed ".esc" format replaces.
+func errRetiredESG(path string) error {
+	return fmt.Errorf("graph: %s: the .esg binary format is no longer supported; use a text edge list or pack one to .esc with gpack", path)
 }
 
 // WriteEdgeListFile is WriteEdgeList to a file path, creating or truncating

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,7 +115,7 @@ func TestReadEdgeListFileMissing(t *testing.T) {
 func TestLoadSaveFileFormats(t *testing.T) {
 	g := MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	dir := t.TempDir()
-	for _, name := range []string{"g.txt", "g.esg"} {
+	for _, name := range []string{"g.txt", "g.esc"} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, g, nil); err != nil {
 			t.Fatalf("SaveFile(%s): %v", name, err)
@@ -133,5 +134,22 @@ func TestLoadSaveFileFormats(t *testing.T) {
 		if rm.Label(0) != 0 {
 			t.Errorf("%s: label(0) = %d, want 0", name, rm.Label(0))
 		}
+	}
+}
+
+// TestESGRetired pins that the retired .esg binary format is refused on
+// both load and save with a pointer to gpack, and that a .esg path never
+// falls through to the text parser.
+func TestESGRetired(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.esg")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "gpack") {
+		t.Errorf("LoadFile(.esg) = %v, want an error naming gpack", err)
+	}
+	g := MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	if err := SaveFile(path, g, nil); err == nil || !strings.Contains(err.Error(), "gpack") {
+		t.Errorf("SaveFile(.esg) = %v, want an error naming gpack", err)
 	}
 }

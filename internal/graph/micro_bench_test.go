@@ -62,33 +62,18 @@ func BenchmarkEdgeListWrite(b *testing.B) {
 	}
 }
 
-func BenchmarkBinaryRoundTrip(b *testing.B) {
-	g := microGraph(b, 5000, 25000)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCSRBuild(b *testing.B) {
 	g := microGraph(b, 10000, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildCSR(g)
+		buildSlotIndex(g)
 	}
 }
 
-// BenchmarkAdjTraversal vs BenchmarkCSRTraversal: full sweep over every
-// adjacency entry through the slice-of-slices layout and the flat CSR view —
-// the per-visit cost difference that the Brandes rewrite rides on.
-func BenchmarkAdjTraversal(b *testing.B) {
+// BenchmarkNeighborsTraversal vs BenchmarkCSRTraversal: full sweep over
+// every adjacency entry through per-node Neighbors slices and straight over
+// the flat Targets array — the per-visit cost of slicing by offsets.
+func BenchmarkNeighborsTraversal(b *testing.B) {
 	g := microGraph(b, 10000, 50000)
 	b.ResetTimer()
 	var sum int64

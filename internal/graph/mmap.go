@@ -10,13 +10,13 @@ import (
 	"edgeshed/internal/obs"
 )
 
-// Loading an ESC1 file is one mmap plus pointer fixups: every CSR array —
-// Offsets, Targets, EdgeID, Mate, EdgeU, EdgeV — and the canonical []Edge
-// list is a slice header pointed into the page-aligned mapping, so a
-// billion-edge graph "loads" without per-edge work and pages in lazily as
-// kernels touch it. The only full passes over the data are the CRC-32C
-// verification and the structural validation, both straight-line integer
-// sweeps that run at memory speed.
+// Loading an ESC file is one mmap plus pointer fixups: every CSR array —
+// Offsets, Targets, EdgeID, Mate — and the canonical []Edge list is a slice
+// header pointed into the page-aligned mapping, so a billion-edge graph
+// "loads" without per-edge work and pages in lazily as kernels touch it. The
+// only full passes over the data are the CRC-32C verification and the
+// structural validation, both straight-line integer sweeps that run at
+// memory speed.
 //
 // Aliasing the mapping requires the file's little-endian layout to match
 // the host; on a big-endian host every section is decoded into heap copies
@@ -34,7 +34,7 @@ func dataPtr(b []byte) unsafe.Pointer {
 	return unsafe.Pointer(unsafe.SliceData(b))
 }
 
-// PackedGraph is an ESC1 file opened for reading: the Graph view over the
+// PackedGraph is an ESC file opened for reading: the Graph view over the
 // mapping, the label remapper, and the mapping's lifetime. The Graph (and
 // its CSR, adjacency and edge slices) aliases the mapping — after Close
 // those slices must not be touched. Callers that keep the graph for the
@@ -75,7 +75,7 @@ func (p *PackedGraph) Close() error {
 	return rel()
 }
 
-// OpenPacked maps an ESC1 packed-CSR file and returns the graph view over
+// OpenPacked maps an ESC packed-CSR file and returns the graph view over
 // it. The payload checksum and the structural CSR invariants are verified
 // before the graph is handed out, so a truncated, bit-rotted or malformed
 // file never becomes a Graph.
@@ -122,7 +122,7 @@ func LoadPackedFile(path string) (*Graph, *Remapper, error) {
 	return p.Graph(), p.Remapper(), nil
 }
 
-// loadPacked builds the graph view over a complete ESC1 image.
+// loadPacked builds the graph view over a complete ESC image.
 func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 	h, l, err := parsePackHeader(data, size)
 	if err != nil {
@@ -137,26 +137,24 @@ func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 		Targets: viewInt32s(data, l.targetsOff, 2*m),
 		EdgeID:  viewInt32s(data, l.edgeIDOff, 2*m),
 		Mate:    viewInt32s(data, l.mateOff, 2*m),
-		EdgeU:   viewInt32s(data, l.edgeUOff, m),
-		EdgeV:   viewInt32s(data, l.edgeVOff, m),
 	}
-	edges := viewEdges(data, l.edgeUVOff, m)
+	edges := viewEdges(data, l.edgesOff, m)
 	if err := validatePacked(c, edges); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		adj:   make([][]NodeID, n),
-		edges: edges,
-		csr:   c,
+	// The header sits outside the payload CRC, so the degree-ordered flag
+	// is checked against the degrees it claims to describe.
+	if h.flags&packFlagDegreeOrdered != 0 {
+		for u := 1; u < n; u++ {
+			if c.Offsets[u+1]-c.Offsets[u] > c.Offsets[u]-c.Offsets[u-1] {
+				return nil, fmt.Errorf("graph: packed file claims degree-ordered ids, but deg(%d) > deg(%d)", u, u-1)
+			}
+		}
 	}
-	// Adjacency lists are sub-slices of the mapped Targets array — the
-	// per-node views validatePacked just proved sorted and symmetric.
-	for u := 0; u < n; u++ {
-		lo, hi := c.Offsets[u], c.Offsets[u+1]
-		g.adj[u] = c.Targets[lo:hi:hi]
-	}
-	// Mark the lazily-built CSR as already present so g.CSR() returns the
-	// mapped view instead of rebuilding it.
+	// The graph's own arrays alias the mapped sections validatePacked just
+	// checked, and the slot index is already on disk: mark the lazy build
+	// done so g.CSR() returns the mapped view instead of rebuilding it.
+	g := &Graph{edges: edges, offsets: c.Offsets, targets: c.Targets, csr: c}
 	g.csrOnce.Do(func() {})
 
 	var rm *Remapper
@@ -205,7 +203,7 @@ func viewInt64s(data []byte, off int64, count int) []int64 {
 	return out
 }
 
-// viewEdges returns the interleaved EdgeUV section as []Edge. Edge is two
+// viewEdges returns the interleaved Edges section as []Edge. Edge is two
 // int32 fields (U then V) with no padding, so on a little-endian host the
 // struct's byte image is exactly the file's.
 func viewEdges(data []byte, off int64, count int) []Edge {

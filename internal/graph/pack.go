@@ -6,28 +6,28 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"sort"
 
 	"edgeshed/internal/par"
 )
 
-// The ESC1 packed-CSR format is the out-of-core substrate for SNAP-scale
-// graphs: the CSR view's arrays written to disk exactly as graph.CSR holds
-// them in memory, so loading is one mmap plus slice-header fixups with zero
-// per-edge parsing (see mmap.go). Where the .esg binary format is a
-// fast-reload cache that still re-runs the Builder per edge, a .esc file
-// *is* the graph.
+// The ESC packed-CSR format is the out-of-core substrate for SNAP-scale
+// graphs: the graph's arrays and its CSR slot index written to disk exactly
+// as a Graph holds them in memory, so loading is one mmap plus slice-header
+// fixups with zero per-edge parsing (see mmap.go). A .esc file *is* the
+// graph.
 //
-// Layout, all little-endian:
+// Layout of format version 2, all little-endian:
 //
 //	header (64 bytes)
 //	  [0:4)   magic "ESC1"
-//	  [4:8)   uint32 format version (currently 1)
-//	  [8:16)  uint64 flags (packFlagDegreeOrdered, packFlagIdentityLabels)
+//	  [4:8)   uint32 format version (currently 2)
+//	  [8:16)  uint64 flags (packFlagDegreeOrdered, packFlagIdentityLabels;
+//	          every other bit zero)
 //	  [16:24) uint64 |V|
 //	  [24:32) uint64 |E|
-//	  [32:40) uint64 CRC-32C (Castagnoli) of the payload, in the low bits
+//	  [32:40) uint64 CRC-32C (Castagnoli) of the payload in the low 32
+//	          bits; the high 32 bits zero
 //	  [40:64) reserved, zero
 //	payload (sections back to back; the 8-byte section leads, so every
 //	section is naturally aligned inside the page-aligned mapping)
@@ -37,25 +37,28 @@ import (
 //	  Targets 2|E| × int32
 //	  EdgeID  2|E| × int32
 //	  Mate    2|E| × int32
-//	  EdgeU   |E| × int32
-//	  EdgeV   |E| × int32
-//	  EdgeUV  |E| × (int32 U, int32 V)  the canonical edge list, interleaved
+//	  Edges   |E| × (int32 U, int32 V)  the canonical edge list, interleaved
 //	                                    so it aliases directly as []Edge
 //
-// The payload checksum makes bit rot and truncation loud; the structural
-// validation on open (validatePacked) makes a well-checksummed but
-// malformed file — non-canonical edge order above all — equally loud.
+// The file is 64 + 8|V| (without identity labels) + 4(|V|+1) + 32|E|
+// bytes. Version 1 also stored the edge list a second time, as two separate
+// endpoint arrays; it is rejected on open with a pointer to gpack.
+//
+// The payload checksum makes bit rot and truncation loud; the header is
+// not covered by it, so every header bit is checked explicitly instead. The
+// structural validation on open (validatePacked) makes a well-checksummed
+// but malformed file — non-canonical edge order above all — equally loud.
 
-// packMagic identifies an ESC1 packed-CSR file.
+// packMagic identifies an ESC packed-CSR file of any version.
 var packMagic = [4]byte{'E', 'S', 'C', '1'}
 
-// packVersion is the current ESC1 format version.
-const packVersion = 1
+// packVersion is the current ESC format version.
+const packVersion = 2
 
-// packHeaderSize is the fixed byte size of the ESC1 header.
+// packHeaderSize is the fixed byte size of the ESC header.
 const packHeaderSize = 64
 
-// ESC1 header flag bits.
+// ESC header flag bits.
 const (
 	// packFlagDegreeOrdered marks a file whose dense ids were relabelled in
 	// degree-descending order at pack time (OrderDegree).
@@ -63,6 +66,8 @@ const (
 	// packFlagIdentityLabels marks a file with no Labels section: dense id
 	// u carries external label u.
 	packFlagIdentityLabels = 1 << 1
+	// packFlagsKnown is every flag bit this version defines.
+	packFlagsKnown = packFlagDegreeOrdered | packFlagIdentityLabels
 )
 
 // castagnoli is the CRC-32C table used for payload checksums; the
@@ -87,7 +92,7 @@ const (
 	OrderDegree
 )
 
-// packLayout computes the byte offsets of every ESC1 section for a graph
+// packLayout computes the byte offsets of every ESC section for a graph
 // with n nodes and m edges. Offsets are relative to the start of the file;
 // the payload begins at packHeaderSize.
 type packLayout struct {
@@ -98,9 +103,7 @@ type packLayout struct {
 	targetsOff int64
 	edgeIDOff  int64
 	mateOff    int64
-	edgeUOff   int64
-	edgeVOff   int64
-	edgeUVOff  int64
+	edgesOff   int64
 	total      int64 // total file size
 }
 
@@ -120,18 +123,11 @@ func newPackLayout(n, m int, identity bool) packLayout {
 	off += int64(2*m) * 4
 	l.mateOff = off
 	off += int64(2*m) * 4
-	l.edgeUOff = off
-	off += int64(m) * 4
-	l.edgeVOff = off
-	off += int64(m) * 4
-	l.edgeUVOff = off
-	off += int64(2*m) * 4
+	l.edgesOff = off
+	off += int64(m) * 8
 	l.total = off
 	return l
 }
-
-// payloadSize is the byte length of everything after the header.
-func (l packLayout) payloadSize() int64 { return l.total - packHeaderSize }
 
 // PackWriteOptions tunes WritePacked.
 type PackWriteOptions struct {
@@ -155,7 +151,7 @@ func identityLabels(rm *Remapper, n int) bool {
 	return true
 }
 
-// WritePacked writes g in the ESC1 packed-CSR format. If rm is non-nil its
+// WritePacked writes g in the ESC packed-CSR format. If rm is non-nil its
 // labels are stored so the packed file round-trips the original external
 // node ids; a nil rm stores identity labels. The write streams in two
 // passes (one to checksum, one to emit), so w needs no seeking.
@@ -188,8 +184,6 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 		enc.int32s(c.Targets)
 		enc.int32s(c.EdgeID)
 		enc.int32s(c.Mate)
-		enc.int32s(c.EdgeU)
-		enc.int32s(c.EdgeV)
 		enc.edges(g.Edges())
 	}
 
@@ -203,12 +197,7 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 
 	// Pass 2: header, then the payload for real.
 	var hdr [packHeaderSize]byte
-	copy(hdr[0:4], packMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], packVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], flags)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(m))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(h.Sum32()))
+	putPackHeader(hdr[:], flags, n, m, h.Sum32())
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
@@ -221,7 +210,7 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 	return bw.Flush()
 }
 
-// WritePackedFile writes g to path in the ESC1 format, creating or
+// WritePackedFile writes g to path in the ESC format, creating or
 // truncating the file.
 func WritePackedFile(path string, g *Graph, rm *Remapper, opt PackWriteOptions) error {
 	return writeFileWith(path, func(w io.Writer) error { return WritePacked(w, g, rm, opt) })
@@ -270,8 +259,11 @@ func relabelByDegree(g *Graph, rm *Remapper) (*Graph, *Remapper, error) {
 	for _, e := range g.Edges() {
 		keys = append(keys, packKey(newID[e.U], newID[e.V]))
 	}
-	slices.Sort(keys)
-	return graphFromKeys(n, keys), RemapperFromLabels(labels), nil
+	rg, err := graphFromKeys(n, keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rg, RemapperFromLabels(labels), nil
 }
 
 // sectionEncoder streams typed arrays as little-endian bytes through a
@@ -346,17 +338,30 @@ func (enc *sectionEncoder) edges(es []Edge) {
 	}
 }
 
-// packHeader is the decoded ESC1 header.
+// putPackHeader encodes an ESC header into hdr[:packHeaderSize], zeroing
+// the reserved bytes.
+func putPackHeader(hdr []byte, flags uint64, n, m int, checksum uint32) {
+	clear(hdr[:packHeaderSize])
+	copy(hdr[0:4], packMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], packVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], flags)
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(m))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(checksum))
+}
+
+// packHeader is the decoded ESC header.
 type packHeader struct {
 	flags    uint64
 	n, m     int
 	checksum uint32
 }
 
-// parsePackHeader decodes and sanity-checks an ESC1 header against the
-// file's total size: magic, version, counts within CSR bounds, and the
-// exact file length the layout implies (so truncation is detected before
-// any array is touched).
+// parsePackHeader decodes and sanity-checks an ESC header against the
+// file's total size: magic, version, every flag, checksum-word and reserved
+// bit (the payload CRC does not cover the header), counts within CSR
+// bounds, and the exact file length the layout implies (so truncation is
+// detected before any array is touched).
 func parsePackHeader(data []byte, size int64) (packHeader, packLayout, error) {
 	var h packHeader
 	if size < packHeaderSize || len(data) < packHeaderSize {
@@ -366,12 +371,24 @@ func parsePackHeader(data []byte, size int64) (packHeader, packLayout, error) {
 		return h, packLayout{}, fmt.Errorf("graph: bad packed magic %q, want %q", data[0:4], packMagic)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != packVersion {
-		return h, packLayout{}, fmt.Errorf("graph: unsupported packed format version %d (want %d)", v, packVersion)
+		return h, packLayout{}, fmt.Errorf("graph: unsupported packed format version %d (want %d); re-pack the source edge list with gpack", v, packVersion)
 	}
 	h.flags = binary.LittleEndian.Uint64(data[8:16])
+	if unknown := h.flags &^ packFlagsKnown; unknown != 0 {
+		return h, packLayout{}, fmt.Errorf("graph: packed header has unknown flag bits %#x", unknown)
+	}
 	un := binary.LittleEndian.Uint64(data[16:24])
 	um := binary.LittleEndian.Uint64(data[24:32])
-	h.checksum = uint32(binary.LittleEndian.Uint64(data[32:40]))
+	sum := binary.LittleEndian.Uint64(data[32:40])
+	if sum>>32 != 0 {
+		return h, packLayout{}, fmt.Errorf("graph: packed header checksum word %#x has nonzero high bits", sum)
+	}
+	h.checksum = uint32(sum)
+	for i := 40; i < packHeaderSize; i++ {
+		if data[i] != 0 {
+			return h, packLayout{}, fmt.Errorf("graph: packed header reserved byte %d is %#x, want 0", i, data[i])
+		}
+	}
 	if un > uint64(1)<<31-1 || um > (uint64(1)<<31-1)/2 {
 		return h, packLayout{}, fmt.Errorf("graph: packed header counts |V|=%d |E|=%d exceed the int32 CSR index space", un, um)
 	}
@@ -384,11 +401,11 @@ func parsePackHeader(data []byte, size int64) (packHeader, packLayout, error) {
 }
 
 // validatePacked checks the structural invariants of a decoded packed CSR
-// that loading must not proceed without: monotone offsets covering exactly
-// 2m slots, per-node target lists strictly ascending and in range, a
-// strictly ascending canonical edge list agreeing with EdgeU/EdgeV, and
-// every EdgeID/Mate entry inside its array's bounds so no kernel indexing
-// through them can fault. Everything is a sequential O(|V|+|E|) sweep over
+// that loading must not proceed without: slot arrays of 2m entries,
+// monotone offsets covering exactly those slots, per-node target lists
+// strictly ascending and in range, a strictly ascending canonical edge
+// list, and every EdgeID/Mate entry inside its array's bounds so no kernel
+// indexing through them can fault. Everything is a sequential O(|V|+|E|) sweep over
 // the mapped arrays, sharded across GOMAXPROCS workers (the sweeps are
 // read-only and blocks are contiguous, so cross-block lookbacks like
 // edges[i-1] stay valid). The checksum catches bit rot; this catches
@@ -398,6 +415,9 @@ func parsePackHeader(data []byte, size int64) (packHeader, packLayout, error) {
 // because they cost several times the rest of the load path combined.
 func validatePacked(c *CSR, edges []Edge) error {
 	n, m := c.NumNodes(), len(edges)
+	if len(c.Targets) != 2*m || len(c.EdgeID) != 2*m || len(c.Mate) != 2*m {
+		return fmt.Errorf("graph: packed slot arrays hold %d/%d/%d entries, want %d", len(c.Targets), len(c.EdgeID), len(c.Mate), 2*m)
+	}
 	if c.Offsets[0] != 0 {
 		return fmt.Errorf("graph: packed offsets start at %d, want 0", c.Offsets[0])
 	}
@@ -436,10 +456,6 @@ func validatePacked(c *CSR, edges []Edge) error {
 					errs[w] = fmt.Errorf("graph: packed edge list not in canonical order at edge %d (%v after %v)", i, e, prev)
 					return
 				}
-			}
-			if c.EdgeU[i] != e.U || c.EdgeV[i] != e.V {
-				errs[w] = fmt.Errorf("graph: packed EdgeU/EdgeV disagree with edge %d = %v", i, e)
-				return
 			}
 		}
 	})
@@ -493,8 +509,8 @@ func verifyPacked(c *CSR, edges []Edge) error {
 			for s := lo; s < hi; s++ {
 				v := c.Targets[s]
 				id := c.EdgeID[s]
-				if e := (Edge{u, v}.Canonical()); c.EdgeU[id] != e.U || c.EdgeV[id] != e.V {
-					errs[w] = fmt.Errorf("graph: packed slot %d claims edge id %d = (%d,%d), but targets %v", s, id, c.EdgeU[id], c.EdgeV[id], e)
+				if e := (Edge{u, v}.Canonical()); edges[id] != e {
+					errs[w] = fmt.Errorf("graph: packed slot %d claims edge id %d = %v, but targets %v", s, id, edges[id], e)
 					return
 				}
 				mate := c.Mate[s]

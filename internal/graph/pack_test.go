@@ -66,8 +66,6 @@ func requireSameGraph(t *testing.T, got, want *Graph, gotRM, wantRM *Remapper) {
 		"Targets": {gc.Targets, wc.Targets},
 		"EdgeID":  {gc.EdgeID, wc.EdgeID},
 		"Mate":    {gc.Mate, wc.Mate},
-		"EdgeU":   {gc.EdgeU, wc.EdgeU},
-		"EdgeV":   {gc.EdgeV, wc.EdgeV},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("CSR %s length: got %d, want %d", name, len(pair[0]), len(pair[1]))
@@ -216,6 +214,20 @@ func rewritePacked(t *testing.T, path string, mutate func(data []byte)) {
 	}
 }
 
+// editHeader applies mutate to the header of a packed file in place,
+// leaving the payload and its checksum untouched.
+func editHeader(t *testing.T, path string, mutate func(data []byte)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(data[:packHeaderSize])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPackedCorruption(t *testing.T) {
 	g, rm := loadTestGraph(t, testEdgeListText(60, 300, 7))
 	pack := func(t *testing.T) string { return packToFile(t, g, rm, PackWriteOptions{}) }
@@ -258,6 +270,35 @@ func TestPackedCorruption(t *testing.T) {
 		})
 		mustFail(t, path, "unsupported packed format version")
 	})
+	t.Run("v1-file", func(t *testing.T) {
+		path := pack(t)
+		rewritePacked(t, path, func(data []byte) {
+			binary.LittleEndian.PutUint32(data[4:8], 1)
+		})
+		mustFail(t, path, "re-pack the source edge list with gpack")
+	})
+	// The header is outside the payload CRC, so every header bit must be
+	// checked on its own: these edits leave the payload checksum valid.
+	t.Run("checksum-high-bits", func(t *testing.T) {
+		path := pack(t)
+		editHeader(t, path, func(data []byte) { data[36] = 1 })
+		mustFail(t, path, "checksum word")
+	})
+	t.Run("unknown-flag", func(t *testing.T) {
+		path := pack(t)
+		editHeader(t, path, func(data []byte) { data[8] |= 1 << 5 })
+		mustFail(t, path, "unknown flag bits")
+	})
+	t.Run("reserved-bytes", func(t *testing.T) {
+		path := pack(t)
+		editHeader(t, path, func(data []byte) { data[packHeaderSize-1] = 0x80 })
+		mustFail(t, path, "reserved byte")
+	})
+	t.Run("flipped-degree-ordered-flag", func(t *testing.T) {
+		path := pack(t)
+		editHeader(t, path, func(data []byte) { data[8] |= packFlagDegreeOrdered })
+		mustFail(t, path, "degree-ordered")
+	})
 	t.Run("checksum-mismatch", func(t *testing.T) {
 		path := pack(t)
 		data, err := os.ReadFile(path)
@@ -281,20 +322,15 @@ func TestPackedCorruption(t *testing.T) {
 		path := pack(t)
 		l := newPackLayout(g.NumNodes(), g.NumEdges(), false)
 		rewritePacked(t, path, func(data []byte) {
-			// Swap edges 0 and 1 consistently across EdgeU, EdgeV, and the
-			// interleaved EdgeUV section, so the per-edge sections still
-			// agree and only the ordering invariant is violated.
-			swap := func(off, width int64) {
-				a := data[off : off+width]
-				b := data[off+width : off+2*width]
-				tmp := make([]byte, width)
-				copy(tmp, a)
-				copy(a, b)
-				copy(b, tmp)
-			}
-			swap(l.edgeUOff, 4)
-			swap(l.edgeVOff, 4)
-			swap(l.edgeUVOff, 8)
+			// Swap edges 0 and 1 in the Edges section, so every edge is
+			// still canonical and in range and only the ordering invariant
+			// is violated.
+			a := data[l.edgesOff : l.edgesOff+8]
+			b := data[l.edgesOff+8 : l.edgesOff+16]
+			var tmp [8]byte
+			copy(tmp[:], a)
+			copy(a, b)
+			copy(b, tmp[:])
 		})
 		mustFail(t, path, "canonical")
 	})
@@ -336,6 +372,37 @@ func TestPackedCorruption(t *testing.T) {
 			t.Errorf("Verify rejected a well-formed file: %v", err)
 		}
 	})
+}
+
+// TestPackedFileSize pins the ESC v2 size formula: the 64-byte header,
+// 8|V| label bytes (omitted for identity labels), 4(|V|+1) offset bytes and
+// exactly 32 bytes per edge — Targets, EdgeID and Mate at 8 bytes each and
+// the edge list once at 8.
+func TestPackedFileSize(t *testing.T) {
+	sparse, rm := loadTestGraph(t, testEdgeListText(300, 2000, 13))
+	dense := MustFromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}})
+	for _, tc := range []struct {
+		name   string
+		g      *Graph
+		rm     *Remapper
+		labels bool
+	}{
+		{"labels", sparse, rm, true},
+		{"identity", dense, nil, false},
+	} {
+		fi, err := os.Stat(packToFile(t, tc.g, tc.rm, PackWriteOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, m := int64(tc.g.NumNodes()), int64(tc.g.NumEdges())
+		want := 64 + 4*(n+1) + 32*m
+		if tc.labels {
+			want += 8 * n
+		}
+		if fi.Size() != want {
+			t.Errorf("%s: |V|=%d |E|=%d file is %d bytes, want %d", tc.name, n, m, fi.Size(), want)
+		}
+	}
 }
 
 // TestWritePackedStreams pins that WritePacked works against a plain

@@ -78,8 +78,11 @@ func ReadEdgeListOpts(r io.Reader, opt EdgeListOptions) (*Graph, *Remapper, erro
 		return nil, nil, err
 	}
 	index := opt.Obs.Start("index")
-	g := graphFromKeys(rm.Len(), keys)
+	g, err := graphFromKeys(rm.Len(), keys)
 	index.End()
+	if err != nil {
+		return nil, nil, err
+	}
 	opt.Obs.Counter("ingest.edges").Add(int64(g.NumEdges()))
 	return g, rm, nil
 }
@@ -376,34 +379,18 @@ func parseInt64(tok []byte) (int64, bool) {
 }
 
 // graphFromKeys builds a Graph over n nodes from packed canonical edge
-// keys, sorting and deduplicating in place. Construction is counting-based:
-// one backing array holds all adjacency lists, and because keys sort in
-// canonical (U, V) order, each node's neighbor list comes out sorted with
-// no per-node sort — the same two-pass trick as SubgraphByIDs.
-func graphFromKeys(n int, keys []uint64) *Graph {
+// keys, sorting and deduplicating in place; sorted keys unpack straight into
+// the canonical edge list newGraph fills the adjacency from. An edge count
+// past the CSR's int32 slot space is an input error, not a panic.
+func graphFromKeys(n int, keys []uint64) (*Graph, error) {
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
-	g := &Graph{
-		adj:   make([][]NodeID, n),
-		edges: make([]Edge, len(keys)),
+	if err := csrBounds(n, len(keys)); err != nil {
+		return nil, err
 	}
-	deg := make([]int32, n)
+	edges := make([]Edge, len(keys))
 	for i, k := range keys {
-		e := unpackKey(k)
-		g.edges[i] = e
-		deg[e.U]++
-		deg[e.V]++
+		edges[i] = unpackKey(k)
 	}
-	backing := make([]NodeID, 0, 2*len(keys))
-	for u, d := range deg {
-		if d > 0 {
-			g.adj[u] = backing[len(backing) : len(backing) : len(backing)+int(d)]
-			backing = backing[:len(backing)+int(d)]
-		}
-	}
-	for _, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
-	}
-	return g
+	return newGraph(n, edges), nil
 }

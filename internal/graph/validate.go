@@ -1,60 +1,24 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Validate checks the structural invariants of g and returns the first
-// violation found, or nil. It is O(|V| + |E| log) and intended for tests and
-// for verifying graphs deserialized from untrusted inputs.
+// violation found, or nil. It runs exactly the checks a packed-file load
+// makes (validatePacked) followed by PackedGraph.Verify's deep cross-checks
+// (verifyPacked), over the graph's own arrays, so an in-RAM graph and a
+// mapped one answer to one validator. It is O(|V| + |E|) and intended for
+// tests and for verifying graphs built from untrusted inputs.
 //
 // Invariants:
-//   - every edge is canonical (U <= V), in-range and loop-free;
-//   - the edge list is strictly sorted (hence duplicate-free);
-//   - adjacency lists are strictly sorted and mutually consistent with the
-//     edge list (same multiset of incidences, symmetric).
+//   - offsets start at 0, end at 2|E| and never decrease;
+//   - every edge is canonical (U < V) and in range, and the edge list is
+//     strictly sorted (hence loop- and duplicate-free);
+//   - each node's targets are in range and strictly ascending;
+//   - every slot's edge id names the canonical edge the slot targets, and
+//     the mate pointers pair the two slots of each edge, so the adjacency
+//     is symmetric and holds each edge exactly twice.
 func (g *Graph) Validate() error {
-	n := NodeID(len(g.adj))
-	for i, e := range g.edges {
-		if e.U > e.V {
-			return fmt.Errorf("graph: edge %v not canonical", e)
-		}
-		if e.U == e.V {
-			return fmt.Errorf("graph: self-loop %v", e)
-		}
-		if e.U < 0 || e.V >= n {
-			return fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
-		}
-		if i > 0 {
-			prev := g.edges[i-1]
-			if prev.U > e.U || (prev.U == e.U && prev.V >= e.V) {
-				return fmt.Errorf("graph: edge list not strictly sorted at %v after %v", e, prev)
-			}
-		}
+	c := g.CSR()
+	if err := validatePacked(c, g.edges); err != nil {
+		return err
 	}
-	deg := make([]int, n)
-	for _, e := range g.edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for u, a := range g.adj {
-		if len(a) != deg[u] {
-			return fmt.Errorf("graph: node %d adjacency length %d != incidence count %d", u, len(a), deg[u])
-		}
-		if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
-			return fmt.Errorf("graph: node %d adjacency not sorted", u)
-		}
-		for i := 1; i < len(a); i++ {
-			if a[i] == a[i-1] {
-				return fmt.Errorf("graph: node %d has duplicate neighbor %d", u, a[i])
-			}
-		}
-		for _, v := range a {
-			if !g.HasEdge(NodeID(u), v) {
-				return fmt.Errorf("graph: adjacency (%d,%d) missing from edge index", u, v)
-			}
-		}
-	}
-	return nil
+	return verifyPacked(c, g.edges)
 }

@@ -114,7 +114,7 @@ func (s Summarizer) Summarize(g *graph.Graph) (*Summary, error) {
 			nbSum:      make([]float64, n),
 			Utility:    1,
 		},
-		adj: make([]map[int32]*pairInfo, n),
+		links: make([]map[int32]*pairInfo, n),
 	}
 	st.summary.penalty = st.penalty
 
@@ -129,12 +129,12 @@ func (s Summarizer) Summarize(g *graph.Graph) (*Summary, error) {
 		st.summary.SuperOf[u] = int32(u)
 		st.summary.Members[u] = []graph.NodeID{graph.NodeID(u)}
 		st.summary.nbSum[u] = nodeBC[u]
-		st.adj[u] = make(map[int32]*pairInfo)
+		st.links[u] = make(map[int32]*pairInfo)
 	}
 	for i, e := range g.Edges() {
 		pi := &pairInfo{edges: 1, imp: edgeImp[i]}
-		st.adj[e.U][int32(e.V)] = pi
-		st.adj[e.V][int32(e.U)] = pi
+		st.links[e.U][int32(e.V)] = pi
+		st.links[e.V][int32(e.U)] = pi
 		st.summary.superEdges[pairKey(int32(e.U), int32(e.V))] = pi
 	}
 
@@ -177,7 +177,7 @@ type state struct {
 	summary *Summary
 	penalty float64
 	utility float64
-	adj     []map[int32]*pairInfo // alive super -> neighbor super -> info
+	links   []map[int32]*pairInfo // alive super -> neighbor super -> info
 	pq      matching.PQ[cand]
 }
 
@@ -233,14 +233,14 @@ func (st *state) deltaU(a, b int32) float64 {
 	// Old: internals of a and b, the (a, b) pair, and both stars.
 	old += st.internalContribution(a, sum.internal[a])
 	old += st.internalContribution(b, sum.internal[b])
-	ab := st.adj[a][b]
+	ab := st.links[a][b]
 	old += st.contribution(a, b, ab)
-	for c, pi := range st.adj[a] {
+	for c, pi := range st.links[a] {
 		if c != b {
 			old += st.contribution(a, c, pi)
 		}
 	}
-	for c, pi := range st.adj[b] {
+	for c, pi := range st.links[b] {
 		if c != a {
 			old += st.contribution(b, c, pi)
 		}
@@ -259,13 +259,13 @@ func (st *state) deltaU(a, b int32) float64 {
 	}
 	neu += simulateInternal(mergedLen, mergedNB, mergedInternal, st.penalty)
 	// Star of the merged node: union of neighbors with summed infos.
-	seen := make(map[int32]pairInfo, len(st.adj[a])+len(st.adj[b]))
-	for c, pi := range st.adj[a] {
+	seen := make(map[int32]pairInfo, len(st.links[a])+len(st.links[b]))
+	for c, pi := range st.links[a] {
 		if c != b {
 			seen[c] = *pi
 		}
 	}
-	for c, pi := range st.adj[b] {
+	for c, pi := range st.links[b] {
 		if c == a {
 			continue
 		}
@@ -392,36 +392,36 @@ func (st *state) run(tau float64) {
 // merge folds supernode b into a (small-to-large on adjacency size).
 func (st *state) merge(a, b int32, dU float64) {
 	sum := st.summary
-	if len(st.adj[a]) < len(st.adj[b]) {
+	if len(st.links[a]) < len(st.links[b]) {
 		a, b = b, a
 	}
 	// Internal edges: b's internals plus the (a, b) superedge become
 	// internal to a.
 	sum.internal[a].edges += sum.internal[b].edges
 	sum.internal[a].imp += sum.internal[b].imp
-	if ab := st.adj[a][b]; ab != nil {
+	if ab := st.links[a][b]; ab != nil {
 		sum.internal[a].edges += ab.edges
 		sum.internal[a].imp += ab.imp
-		delete(st.adj[a], b)
+		delete(st.links[a], b)
 		delete(sum.superEdges, pairKey(a, b))
 	}
 	// Rewire b's star onto a.
-	for c, pi := range st.adj[b] {
+	for c, pi := range st.links[b] {
 		if c == a {
 			continue
 		}
-		delete(st.adj[c], b)
+		delete(st.links[c], b)
 		delete(sum.superEdges, pairKey(b, c))
-		if cur := st.adj[a][c]; cur != nil {
+		if cur := st.links[a][c]; cur != nil {
 			cur.edges += pi.edges
 			cur.imp += pi.imp
 		} else {
-			st.adj[a][c] = pi
-			st.adj[c][a] = pi
+			st.links[a][c] = pi
+			st.links[c][a] = pi
 			sum.superEdges[pairKey(a, c)] = pi
 		}
 	}
-	st.adj[b] = nil
+	st.links[b] = nil
 	sum.nbSum[a] += sum.nbSum[b]
 	sum.nbSum[b] = 0
 	for _, u := range sum.Members[b] {
@@ -433,7 +433,7 @@ func (st *state) merge(a, b int32, dU float64) {
 	st.utility += dU
 	sum.Merges++
 	// Re-seed candidates around the merged supernode.
-	for c := range st.adj[a] {
+	for c := range st.links[a] {
 		k := pairKey(a, c)
 		d := st.deltaU(a, c)
 		st.pq.Push(cand{a: k[0], b: k[1], deltaU: d}, d)
