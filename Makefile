@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-centrality bench-tasks bench-shedding bench-ingest bench-bfs bench-gate obsreport experiments claims profile fmt vet clean
+.PHONY: all build test race bench bench-centrality bench-tasks bench-shedding bench-ingest bench-bfs obsdiff experiments claims profile fmt vet clean
 
 all: build test
 
@@ -60,36 +60,28 @@ bench-ingest:
 # Refresh the BFS-kernel perf baseline: the replaced one-BFS-per-source
 # kernels vs the bit-parallel MS-BFS engine (closeness, distance profile,
 # node betweenness), single worker so the derived PerSource/MSBFS speedups
-# measure the batching alone. Recorded as JSON; gate with bench-gate.
+# measure the batching alone. Recorded as JSON; gate with `make obsdiff`.
 bench-bfs:
 	$(GO) test -run xxx -bench '(Closeness|NodeBetweenness|DistanceProfile)(PerSource|MSBFS)$$' -benchtime 5x -benchmem \
 		./internal/centrality/ ./internal/analysis/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_bfs.json
 	cat BENCH_bfs.json
 
-# Gate a fresh benchmark run against a baseline with cmd/obsdiff: exits
-# non-zero when any ns/op or allocs/op regressed beyond MAX_REGRESS, and
-# refuses cross-machine comparisons (baselines embed the measuring
-# machine's identity). Works on run manifests too.
+# Compare run manifests (-metrics output) and BENCH_*.json baselines with
+# cmd/obsdiff: one table per command and machine, runs in start order
+# (baselines in argument order). RUNS lists files or directories. With
+# MAX_REGRESS set, exits non-zero when the latest run of any quality series
+# or benchmark ns/op / allocs/op moved the bad way beyond it; empty reports
+# only.
 #
 #	make bench-shedding && cp BENCH_shedding.json base.json
 #	... hack ...
-#	make bench-shedding && make bench-gate BASE=base.json CUR=BENCH_shedding.json
-BASE ?= BENCH_shedding.json
-CUR ?= BENCH_shedding.json
-MAX_REGRESS ?= 25%
-bench-gate:
-	$(GO) run ./cmd/obsdiff -max-regress $(MAX_REGRESS) $(BASE) $(CUR)
-
-# Render the cross-run quality trend report over a directory of run
-# manifests (-metrics output) and BENCH_*.json baselines. Add
-# OBSREPORT_FLAGS="-gate -max-regress 10%" to fail on quality regressions.
-#
-#	make obsreport RUNS=results/quality
+#	make bench-shedding && make obsdiff RUNS="base.json BENCH_shedding.json" MAX_REGRESS=25%
+#	make obsdiff RUNS=results/quality MAX_REGRESS=10%
 RUNS ?= results
-OBSREPORT_FLAGS ?=
-obsreport:
-	$(GO) run ./cmd/obsreport $(OBSREPORT_FLAGS) $(RUNS)
+MAX_REGRESS ?=
+obsdiff:
+	$(GO) run ./cmd/obsdiff -max-regress '$(MAX_REGRESS)' $(RUNS)
 
 # Reproduce every paper artifact at laptop scale and self-audit the shapes.
 experiments:

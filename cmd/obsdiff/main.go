@@ -1,37 +1,48 @@
-// Command obsdiff compares two observability artifacts of the same kind —
-// two run manifests (-metrics output) or two BENCH_*.json baselines
-// (cmd/benchjson output) — and reports what moved: counter and gauge
-// deltas and per-span wall-time ratios for manifests, ns/op and allocs/op
-// ratios for benchmark baselines.
+// Command obsdiff compares observability artifacts across runs — run
+// manifests (-metrics output) and BENCH_*.json baselines (cmd/benchjson
+// output) — and, with -max-regress, gates the latest run against the one
+// before it.
 //
-//	obsdiff BENCH_shedding.json BENCH_new.json
-//	obsdiff -max-regress 25% BENCH_shedding.json BENCH_new.json
 //	obsdiff run_before.json run_after.json
+//	obsdiff -max-regress 25% bench_base.json BENCH_shedding.json
+//	obsdiff -max-regress 10% results/quality
+//
+// Arguments are files or directories; a directory contributes every *.json
+// file directly inside it and skips the ones that are neither a manifest
+// nor a baseline. Each artifact becomes one flat list of series, each with
+// a name, a direction and a value: a manifest's quality_timeline points
+// keep their probe's direction ("lower" or "higher" is better), a
+// baseline's ns/op and allocs/op are "lower", and everything else (span
+// walls, total wall, histogram p50/p99, counters, gauges) is "info".
+// Artifacts are grouped by command (baselines form the "benchmarks"
+// group) and machine (obs.Env.Comparable), ordered by start time
+// (baselines keep argument order), and shown as one table per group with
+// a latest-vs-previous column.
 //
 // With -max-regress set (a percentage like "25%" or a fraction like
-// "0.25"), obsdiff becomes a regression gate: any gated metric of the
-// second (current) file that is worse than the first (baseline) by more
-// than the threshold makes it exit 1, so CI can fail the build. Without
-// it, obsdiff only reports. Exit codes: 0 no breach, 1 threshold breached,
-// 2 unusable input (missing file, malformed JSON, mixed kinds, or
-// baseline and current measured on different machines — see below).
-//
-// Benchmark baselines carry the measuring machine's identity (see
-// internal/obs.Env); obsdiff refuses to compare baselines from different
-// machines, because a hardware delta masquerades as a perf delta.
-// -allow-env-mismatch downgrades that refusal to a warning for the rare
-// deliberate cross-machine look.
+// "0.25"), a directional series whose latest value moved the bad way by
+// more than the threshold relative to its previous value makes obsdiff
+// exit 1; "info" series never gate. Without it, obsdiff only reports.
+// Exit codes: 0 no breach, 1 threshold breached, 2 unusable input (a
+// missing or malformed file, an artifact without machine identity, no two
+// artifacts of one command, or — under a gate — one command's runs
+// measured on different machines).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"edgeshed/internal/benchfmt"
 	"edgeshed/internal/obs"
@@ -39,14 +50,13 @@ import (
 
 func main() {
 	maxRegress := flag.String("max-regress", "", "gate threshold, e.g. 25% or 0.25 (empty = report only)")
-	allowEnv := flag.Bool("allow-env-mismatch", false, "compare baselines from different machines anyway (warning instead of refusal)")
 	cli := obs.BindFlags(flag.CommandLine)
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: obsdiff [flags] baseline.json current.json")
+		fmt.Fprintln(os.Stderr, "usage: obsdiff [flags] file-or-dir [file-or-dir...]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if flag.NArg() != 2 {
+	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -58,7 +68,7 @@ func main() {
 	var code int
 	runErr := obs.Run(sess, func() error {
 		var rerr error
-		code, rerr = run(os.Stdout, flag.Arg(0), flag.Arg(1), *maxRegress, *allowEnv, sess)
+		code, rerr = run(os.Stdout, flag.Args(), *maxRegress, sess)
 		return rerr
 	})
 	if cerr := sess.Close(); runErr == nil && cerr != nil {
@@ -71,76 +81,70 @@ func main() {
 	os.Exit(code)
 }
 
-// gateFloorNs is the baseline span duration below which wall-time ratios
-// are reported but never gated: a 0.3ms span doubling is scheduler noise,
-// not a regression.
-const gateFloorNs = 1_000_000
+// Series directions: which way a value is better. Only lower and higher
+// series can breach the gate.
+const (
+	dirLower  = "lower"
+	dirHigher = "higher"
+	dirInfo   = "info"
+)
 
-// histogramGateFloors is the unit registry for histogram gating: a family
-// whose name ends in a registered suffix gates when its baseline quantile
-// clears the suffix's noise floor, expressed in the family's own unit.
-// Durations (_ns) reuse the 1ms span floor; micro-scaled quality magnitudes
-// (_micros, e.g. crr.delta_abs_micros, bm2.gain_micros) floor at 1e3 micros
-// = one thousandth of a unit, below which a ratio is rounding noise, not a
-// quality regression. Unregistered suffixes (occupancies, widths) report
-// without ever gating — their shifts are semantic, not regressions.
-var histogramGateFloors = []struct {
-	suffix string
-	floor  float64
-}{
-	{"_ns", gateFloorNs},
-	{"_micros", 1e3},
+// series is one named, direction-tagged value of one artifact; of several
+// with one name, the last is the artifact's value.
+type series struct {
+	name  string
+	dir   string
+	value float64
 }
 
-// histogramGateFloor returns the gating noise floor for a histogram family
-// and whether the family's unit is registered for gating at all.
-func histogramGateFloor(name string) (floor float64, gated bool) {
-	for _, f := range histogramGateFloors {
-		if strings.HasSuffix(name, f.suffix) {
-			return f.floor, true
-		}
-	}
-	return 0, false
+// artifact is one input file reduced to what the comparison needs.
+type artifact struct {
+	path    string
+	command string
+	env     *obs.Env
+	// start orders runs within a group; zero for baselines, which keep
+	// argument order.
+	start  time.Time
+	series []series
 }
 
-// run diffs baseline against current and returns the process exit code
-// (0 ok, 1 breach). Errors mean the inputs were unusable (exit 2).
-func run(w io.Writer, basePath, curPath, maxRegressStr string, allowEnv bool, sess *obs.Session) (int, error) {
+// group is the runs of one command on one machine, in start order.
+type group struct {
+	command  string
+	runs     []*artifact
+	warnings []string
+}
+
+// run compares the artifacts named by args and returns the process exit
+// code (0 ok, 1 breach). Errors mean the inputs were unusable (exit 2).
+func run(w io.Writer, args []string, maxRegressStr string, sess *obs.Session) (int, error) {
 	gate, err := parseMaxRegress(maxRegressStr)
 	if err != nil {
 		return 0, err
 	}
-	baseKind, err := detectKind(basePath)
+	arts, err := collect(args, sess)
 	if err != nil {
 		return 0, err
 	}
-	curKind, err := detectKind(curPath)
+	sort.SliceStable(arts, func(i, j int) bool { return arts[i].start.Before(arts[j].start) })
+	groups, err := groupRuns(arts, gate >= 0)
 	if err != nil {
 		return 0, err
 	}
-	if baseKind != curKind {
-		return 0, fmt.Errorf("cannot diff a %s against a %s (%s vs %s)", baseKind, curKind, basePath, curPath)
-	}
-	sess.Verbosef("diffing %s files, gate=%v", baseKind, gate)
+	sess.Verbosef("comparing %d artifact(s) in %d group(s), gate=%v", len(arts), len(groups), gate)
 	var breaches []string
-	switch baseKind {
-	case kindBench:
-		breaches, err = diffBench(w, basePath, curPath, gate, allowEnv)
-	case kindManifest:
-		breaches, err = diffManifest(w, basePath, curPath, gate, allowEnv)
-	}
-	if err != nil {
-		return 0, err
+	for _, g := range groups {
+		breaches = append(breaches, render(w, g, gate)...)
 	}
 	if len(breaches) > 0 {
-		fmt.Fprintf(w, "\nBREACH: %d metric(s) regressed beyond %s:\n", len(breaches), maxRegressStr)
+		fmt.Fprintf(w, "BREACH: %d series regressed beyond %s:\n", len(breaches), maxRegressStr)
 		for _, b := range breaches {
 			fmt.Fprintf(w, "  %s\n", b)
 		}
 		return 1, nil
 	}
 	if gate >= 0 {
-		fmt.Fprintf(w, "\nok: no gated metric regressed beyond %s\n", maxRegressStr)
+		fmt.Fprintf(w, "ok: no directional series regressed beyond %s\n", maxRegressStr)
 	}
 	return 0, nil
 }
@@ -165,242 +169,137 @@ func parseMaxRegress(s string) (float64, error) {
 	return v, nil
 }
 
-type fileKind string
+// collect reads every artifact the arguments name, in argument order. A
+// file named directly must be an artifact; a directory contributes its
+// *.json files in name order and skips the ones that are not.
+func collect(args []string, sess *obs.Session) ([]*artifact, error) {
+	var arts []*artifact
+	for _, a := range args {
+		st, err := os.Stat(a)
+		if err != nil {
+			return nil, err
+		}
+		if !st.IsDir() {
+			art, err := readArtifact(a)
+			if err != nil {
+				return nil, err
+			}
+			arts = append(arts, art)
+			continue
+		}
+		paths, err := filepath.Glob(filepath.Join(a, "*.json"))
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range paths {
+			art, err := readArtifact(p)
+			if errors.Is(err, errNotArtifact) {
+				sess.Verbosef("skipping %v", err)
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			arts = append(arts, art)
+		}
+	}
+	return arts, nil
+}
 
-const (
-	kindBench    fileKind = "benchmark baseline"
-	kindManifest fileKind = "run manifest"
-)
+// errNotArtifact marks a file that is not a JSON object with the keys of a
+// baseline or a manifest.
+var errNotArtifact = errors.New("neither a benchmark baseline nor a run manifest")
 
-// detectKind sniffs whether path is a BENCH_*.json baseline (has a
-// "benchmarks" array) or a run manifest (has a "command"), without
-// committing to either schema yet.
-func detectKind(path string) (fileKind, error) {
+// readArtifact sniffs whether path is a BENCH_*.json baseline (has a
+// "benchmarks" array) or a run manifest (has a "command") and extracts its
+// series.
+func readArtifact(path string) (*artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", fmt.Errorf("parsing %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w: %v", path, errNotArtifact, err)
 	}
-	if _, ok := probe["benchmarks"]; ok {
-		return kindBench, nil
+	_, isBench := probe["benchmarks"]
+	_, isManifest := probe["command"]
+	var art *artifact
+	switch {
+	case isBench:
+		art, err = benchArtifact(path)
+	case isManifest:
+		art, err = manifestArtifact(path)
+	default:
+		return nil, fmt.Errorf("%s: %w", path, errNotArtifact)
 	}
-	if _, ok := probe["command"]; ok {
-		return kindManifest, nil
-	}
-	return "", fmt.Errorf("%s is neither a benchmark baseline nor a run manifest", path)
-}
-
-// checkEnv enforces the same-machine rule: an env error is fatal unless
-// -allow-env-mismatch downgrades it, and warnings are always printed.
-// Either side measured on a dirty worktree is flagged too — its commit
-// stamp does not identify the code the numbers came from.
-func checkEnv(w io.Writer, base, cur *obs.Env, allowEnv bool) error {
-	for _, side := range []struct {
-		name string
-		env  *obs.Env
-	}{{"baseline", base}, {"current", cur}} {
-		if side.env.Dirty() {
-			fmt.Fprintf(w, "warning: %s was measured on a dirty worktree (%s) — its commit does not identify the code\n",
-				side.name, side.env.GitCommit)
-		}
-	}
-	warning, err := base.Comparable(cur)
-	if err != nil {
-		if !allowEnv {
-			return fmt.Errorf("%w (rerun with -allow-env-mismatch to compare anyway)", err)
-		}
-		fmt.Fprintf(w, "warning: %v (continuing: -allow-env-mismatch)\n", err)
-	}
-	if warning != "" {
-		fmt.Fprintf(w, "warning: %s\n", warning)
-	}
-	return nil
-}
-
-// diffBench compares two benchmark baselines: per-benchmark ns/op and
-// allocs/op ratios, both gated, plus notes for benchmarks present on only
-// one side.
-func diffBench(w io.Writer, basePath, curPath string, gate float64, allowEnv bool) ([]string, error) {
-	base, err := benchfmt.ReadFile(basePath)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := benchfmt.ReadFile(curPath)
+	if art.env == nil {
+		return nil, fmt.Errorf("%s records no machine identity", path)
+	}
+	return art, nil
+}
+
+// benchArtifact extracts a baseline's ns/op and allocs/op per benchmark.
+func benchArtifact(path string) (*artifact, error) {
+	rep, err := benchfmt.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkEnv(w, base.Env, cur.Env, allowEnv); err != nil {
-		return nil, err
+	art := &artifact{path: path, command: "benchmarks", env: rep.Env}
+	for _, b := range rep.Benchmarks {
+		art.series = append(art.series,
+			series{b.Name + " ns/op", dirLower, b.NsPerOp},
+			series{b.Name + " allocs/op", dirLower, float64(b.AllocsPerOp)})
 	}
-	baseBy, curBy := base.ByName(), cur.ByName()
-	var breaches []string
-	for _, name := range sortedKeys(baseBy) {
-		b := baseBy[name]
-		c, inCur := curBy[name]
-		if !inCur {
-			fmt.Fprintf(w, "%-40s only in baseline\n", name)
-			continue
-		}
-		line, breach := ratioLine(name+" ns/op", b.NsPerOp, c.NsPerOp, gate)
-		fmt.Fprintln(w, line)
-		if breach != "" {
-			breaches = append(breaches, breach)
-		}
-		if b.AllocsPerOp > 0 || c.AllocsPerOp > 0 {
-			line, breach = ratioLine(name+" allocs/op", float64(b.AllocsPerOp), float64(c.AllocsPerOp), gate)
-			fmt.Fprintln(w, line)
-			if breach != "" {
-				breaches = append(breaches, breach)
-			}
-		}
-	}
-	for _, name := range sortedKeys(curBy) {
-		if _, ok := baseBy[name]; !ok {
-			fmt.Fprintf(w, "%-40s only in current\n", name)
-		}
-	}
-	return breaches, nil
+	return art, nil
 }
 
-// diffManifest compares two run manifests: counter and gauge deltas
-// (report-only — counts are semantic, a delta has no regression
-// percentage) and per-span wall-time ratios (gated, above the noise
-// floor).
-func diffManifest(w io.Writer, basePath, curPath string, gate float64, allowEnv bool) ([]string, error) {
-	base, err := obs.ReadManifest(basePath)
+// manifestArtifact extracts a manifest's quality points (the last point
+// per metric and ratio is the run's final word) with their probes'
+// directions, and its counters, gauges, histogram p50/p99, span walls and
+// total wall as info.
+func manifestArtifact(path string) (*artifact, error) {
+	m, err := obs.ReadManifest(path)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := obs.ReadManifest(curPath)
+	start, err := time.Parse(time.RFC3339, m.StartUTC)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: bad start_utc: %w", path, err)
 	}
-	if err := checkEnv(w, manifestEnv(base), manifestEnv(cur), allowEnv); err != nil {
-		return nil, err
-	}
-	if base.Command != cur.Command {
-		fmt.Fprintf(w, "warning: comparing different commands: %s vs %s\n", base.Command, cur.Command)
-	}
-	diffCountMaps(w, "counter", base.Counters, cur.Counters)
-	diffCountMaps(w, "gauge", base.Gauges, cur.Gauges)
-	var breaches []string
-	breaches = append(breaches, diffHistograms(w, base.Histograms, cur.Histograms, gate)...)
-
-	baseSpans := map[string]int64{}
-	curSpans := map[string]int64{}
-	flattenSpans(base.Spans, "", baseSpans)
-	flattenSpans(cur.Spans, "", curSpans)
-	for _, path := range sortedKeys(baseSpans) {
-		bNs := baseSpans[path]
-		cNs, ok := curSpans[path]
-		if !ok {
-			fmt.Fprintf(w, "span %-40s only in baseline\n", path)
-			continue
+	art := &artifact{path: path, command: m.Command, env: m.Env(), start: start}
+	for _, q := range m.Quality {
+		name := q.Metric
+		if q.Ratio != 0 {
+			name += "@p=" + strconv.FormatFloat(q.Ratio, 'g', -1, 64)
 		}
-		spanGate := gate
-		if bNs < gateFloorNs {
-			spanGate = -1 // below the noise floor: report, never gate
+		dir := q.Better
+		if dir != dirLower && dir != dirHigher {
+			dir = dirInfo
 		}
-		line, breach := ratioLine("span "+path+" wall", float64(bNs), float64(cNs), spanGate)
-		fmt.Fprintln(w, line)
-		if breach != "" {
-			breaches = append(breaches, breach)
-		}
+		art.series = append(art.series, series{name, dir, q.Value})
 	}
-	for _, path := range sortedKeys(curSpans) {
-		if _, ok := baseSpans[path]; !ok {
-			fmt.Fprintf(w, "span %-40s only in current\n", path)
-		}
+	info := func(name string, v float64) { art.series = append(art.series, series{name, dirInfo, v}) }
+	for k, v := range m.Counters {
+		info("counter "+k, float64(v))
 	}
-	line, breach := ratioLine("total wall", float64(base.WallNs), float64(cur.WallNs), gate)
-	fmt.Fprintln(w, line)
-	if breach != "" {
-		breaches = append(breaches, breach)
+	for k, v := range m.Gauges {
+		info("gauge "+k, float64(v))
 	}
-	return breaches, nil
-}
-
-// manifestEnv lifts a manifest's identity fields into an Env so manifests
-// and baselines share one comparability and dirtiness rule.
-func manifestEnv(m *obs.Manifest) *obs.Env {
-	if m.GoVersion == "" && m.GOOS == "" {
-		return nil
+	for k, h := range m.Histograms {
+		info("histogram "+k+" p50", h.Quantile(0.50))
+		info("histogram "+k+" p99", h.Quantile(0.99))
 	}
-	return &obs.Env{GoVersion: m.GoVersion, GOOS: m.GOOS, GOARCH: m.GOARCH,
-		CPUs: m.CPUs, GitCommit: m.GitCommit}
-}
-
-// diffCountMaps prints old → new (delta) for the union of two counter or
-// gauge maps, flagging keys present on only one side.
-func diffCountMaps(w io.Writer, kind string, base, cur map[string]int64) {
-	keys := map[string]bool{}
-	for k := range base {
-		keys[k] = true
+	spans := map[string]int64{}
+	flattenSpans(m.Spans, "", spans)
+	for path, ns := range spans {
+		info("span "+path+" wall_ns", float64(ns))
 	}
-	for k := range cur {
-		keys[k] = true
-	}
-	for _, k := range sortedKeys(keys) {
-		b, inBase := base[k]
-		c, inCur := cur[k]
-		switch {
-		case !inBase:
-			fmt.Fprintf(w, "%s %-40s only in current (%d)\n", kind, k, c)
-		case !inCur:
-			fmt.Fprintf(w, "%s %-40s only in baseline (%d)\n", kind, k, b)
-		default:
-			fmt.Fprintf(w, "%s %-40s %d -> %d (%+d)\n", kind, k, b, c, c-b)
-		}
-	}
-}
-
-// diffHistograms prints p50/p99 shifts for the union of two manifests'
-// histogram maps and returns gate breaches. Only families with a
-// registered unit suffix (see histogramGateFloors) whose baseline
-// quantile clears that unit's noise floor can breach: unregistered
-// families (occupancies, widths) shift legitimately with inputs, and
-// near-floor quantiles are noise — both report without gating.
-func diffHistograms(w io.Writer, base, cur map[string]*obs.HistogramSnapshot, gate float64) []string {
-	keys := map[string]bool{}
-	for k := range base {
-		keys[k] = true
-	}
-	for k := range cur {
-		keys[k] = true
-	}
-	var breaches []string
-	for _, k := range sortedKeys(keys) {
-		b, inBase := base[k]
-		c, inCur := cur[k]
-		switch {
-		case !inBase:
-			fmt.Fprintf(w, "histogram %-36s only in current (n=%d)\n", k, c.Count)
-			continue
-		case !inCur:
-			fmt.Fprintf(w, "histogram %-36s only in baseline (n=%d)\n", k, b.Count)
-			continue
-		}
-		for _, q := range []struct {
-			name string
-			q    float64
-		}{{"p50", 0.50}, {"p99", 0.99}} {
-			bq, cq := b.Quantile(q.q), c.Quantile(q.q)
-			floor, gated := histogramGateFloor(k)
-			qGate := gate
-			if !gated || bq < floor {
-				qGate = -1 // unregistered unit, or below its noise floor
-			}
-			line, breach := ratioLine("histogram "+k+" "+q.name, bq, cq, qGate)
-			fmt.Fprintln(w, line)
-			if breach != "" {
-				breaches = append(breaches, breach)
-			}
-		}
-	}
-	return breaches
+	info("wall_ns", float64(m.WallNs))
+	return art, nil
 }
 
 // flattenSpans accumulates every span's DurNs into out keyed by its
@@ -420,33 +319,164 @@ func flattenSpans(n *obs.SpanNode, prefix string, out map[string]int64) {
 	}
 }
 
-// ratioLine formats one gated metric comparison and, when the current
-// value exceeds the baseline by more than gate, also returns a breach
-// description. A zero baseline cannot yield a ratio: a zero→nonzero move
-// breaches any configured gate (infinitely worse), zero→zero is a no-op.
-func ratioLine(label string, base, cur, gate float64) (line, breach string) {
-	if base == 0 {
-		line = fmt.Sprintf("%-48s 0 -> %g", label, cur)
-		if cur > 0 && gate >= 0 {
-			breach = fmt.Sprintf("%s: 0 -> %g (no baseline to regress from)", label, cur)
+// groupRuns buckets start-ordered artifacts by command and comparable
+// machine, collecting each group's toolchain warnings. It fails when no
+// two artifacts share a command, and, under a gate, when one command's
+// runs were measured on different machines: the gate compares one
+// machine's runs only, so a lone run on a new machine would pass unchecked.
+func groupRuns(arts []*artifact, gated bool) ([]*group, error) {
+	var groups []*group
+	perCommand := map[string][]*group{}
+	counts := map[string]int{}
+next:
+	for _, a := range arts {
+		counts[a.command]++
+		var mismatch error
+		for _, g := range perCommand[a.command] {
+			warning, err := g.runs[0].env.Comparable(a.env)
+			if err != nil {
+				mismatch = err
+				continue
+			}
+			if warning != "" && !slices.Contains(g.warnings, warning) {
+				g.warnings = append(g.warnings, warning)
+			}
+			g.runs = append(g.runs, a)
+			continue next
 		}
-		return line, breach
+		if mismatch != nil && gated {
+			return nil, fmt.Errorf("%s runs come from different machines (%v); the gate compares one machine's runs only", a.command, mismatch)
+		}
+		g := &group{command: a.command, runs: []*artifact{a}}
+		perCommand[a.command] = append(perCommand[a.command], g)
+		groups = append(groups, g)
 	}
-	ratio := cur / base
-	pct := (ratio - 1) * 100
-	line = fmt.Sprintf("%-48s %g -> %g (%+.1f%%)", label, base, cur, pct)
-	if gate >= 0 && ratio > 1+gate {
-		breach = fmt.Sprintf("%s: %+.1f%% (limit %+.1f%%)", label, pct, gate*100)
+	for _, n := range counts {
+		if n >= 2 {
+			return groups, nil
+		}
 	}
-	return line, breach
+	return nil, fmt.Errorf("nothing to compare: no two of the %d artifact(s) share a command", len(arts))
 }
 
-// sortedKeys returns m's keys in sorted order, for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// row is one series across a group's runs; values[i] is nil where run i
+// did not record it.
+type row struct {
+	name   string
+	dir    string
+	values []*float64
+}
+
+// render writes one group's header, run legend and table, and returns the
+// group's gate breaches.
+func render(w io.Writer, g *group, gate float64) []string {
+	env := g.runs[0].env
+	fmt.Fprintf(w, "## %s — %s/%s, %d CPUs\n\n", g.command, env.GOOS, env.GOARCH, env.CPUs)
+	for _, warning := range g.warnings {
+		fmt.Fprintf(w, "warning: %s\n", warning)
 	}
-	sort.Strings(keys)
-	return keys
+	for i, r := range g.runs {
+		line := fmt.Sprintf("- run %d: %s", i+1, filepath.Base(r.path))
+		if !r.start.IsZero() {
+			line += " (" + r.start.Format(time.RFC3339Nano) + ")"
+		}
+		line += " " + r.env.GoVersion
+		if r.env.GitCommit != "" {
+			line += " @" + r.env.GitCommit
+		}
+		fmt.Fprintln(w, line)
+		if r.env.Dirty() {
+			fmt.Fprintf(w, "  warning: %s was measured on a dirty worktree (%s) — its commit does not identify the code\n",
+				filepath.Base(r.path), r.env.GitCommit)
+		}
+	}
+
+	byName := map[string]*row{}
+	var rows []*row
+	for i, r := range g.runs {
+		for _, s := range r.series {
+			rw, ok := byName[s.name]
+			if !ok {
+				rw = &row{name: s.name, dir: s.dir, values: make([]*float64, len(g.runs))}
+				byName[s.name] = rw
+				rows = append(rows, rw)
+			}
+			v := s.value
+			rw.values[i] = &v
+		}
+	}
+	// Directional series first, each half by name.
+	sort.Slice(rows, func(i, j int) bool {
+		if (rows[i].dir == dirInfo) != (rows[j].dir == dirInfo) {
+			return rows[j].dir == dirInfo
+		}
+		return rows[i].name < rows[j].name
+	})
+
+	fmt.Fprint(w, "\n| series | better |")
+	for i := range g.runs {
+		fmt.Fprintf(w, " run %d |", i+1)
+	}
+	fmt.Fprint(w, " latest vs previous |\n|---|---|")
+	fmt.Fprint(w, strings.Repeat("---|", len(g.runs)+1), "\n")
+	var breaches []string
+	for _, rw := range rows {
+		fmt.Fprintf(w, "| %s | %s |", rw.name, rw.dir)
+		var present []float64
+		for _, v := range rw.values {
+			if v == nil {
+				fmt.Fprint(w, " — |")
+				continue
+			}
+			present = append(present, *v)
+			fmt.Fprintf(w, " %s |", formatValue(*v))
+		}
+		if len(present) < 2 {
+			fmt.Fprintln(w, " — |")
+			continue
+		}
+		prev, latest := present[len(present)-2], present[len(present)-1]
+		fmt.Fprintf(w, " %s |\n", change(prev, latest))
+		if worse := regression(rw.dir, prev, latest); gate >= 0 && worse > gate {
+			breaches = append(breaches, fmt.Sprintf("%s %s: %s -> %s (%+.1f%% worse, limit %.1f%%, better=%s)",
+				g.command, rw.name, formatValue(prev), formatValue(latest), worse*100, gate*100, rw.dir))
+		}
+	}
+	fmt.Fprintln(w)
+	return breaches
+}
+
+// regression is how far latest moved the bad way from prev, relative to
+// prev's magnitude; zero or negative means no regression, and info series
+// never regress. A move off a zero baseline the bad way is unboundedly
+// worse, so it breaches any gate.
+func regression(dir string, prev, latest float64) float64 {
+	d := (latest - prev) / math.Max(math.Abs(prev), 1e-12)
+	switch dir {
+	case dirLower:
+		return d
+	case dirHigher:
+		return -d
+	}
+	return 0
+}
+
+// change formats the signed latest-vs-previous move as a percentage.
+func change(prev, latest float64) string {
+	if prev == 0 {
+		if latest == 0 {
+			return "+0.0%"
+		}
+		return "from 0"
+	}
+	return fmt.Sprintf("%+.1f%%", (latest-prev)/math.Abs(prev)*100)
+}
+
+// formatValue prints integral values (counts, ns) exactly and others to
+// six significant digits.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', 6, 64)
 }

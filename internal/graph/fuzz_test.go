@@ -5,8 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzReadEdgeList asserts the text parser never panics and that any graph
-// it accepts satisfies the package invariants.
+// FuzzReadEdgeList is differential: every input must load exactly as the
+// preserved seed loader loads it (graph, labels and error text) at one and
+// two workers, and any accepted graph must validate. Fuzz inputs stay
+// inside one 4 MiB ingest chunk, so chunk seams are covered by
+// TestSnapLoaderOracleRandomLarge instead.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 2\n2 3\n")
 	f.Add("# comment\n\n10 20\n20 10\n10 10\n")
@@ -15,15 +18,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("9223372036854775807 -9223372036854775808\n")
 	f.Add(strings.Repeat("1 2\n", 100))
 	f.Fuzz(func(t *testing.T, data string) {
-		g, rm, err := ReadEdgeList(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph invalid: %v", err)
-		}
-		if rm.Len() != g.NumNodes() {
-			t.Fatalf("remapper has %d labels for %d nodes", rm.Len(), g.NumNodes())
-		}
+		requireSameLoad(t, data, 1)
+		requireSameLoad(t, data, 2)
 	})
 }

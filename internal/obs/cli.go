@@ -386,7 +386,7 @@ func (s *Session) buildManifest(timeline []RuntimeSample) *Manifest {
 		GOARCH:         runtime.GOARCH,
 		CPUs:           runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		StartUTC:       s.startWall.UTC().Format(time.RFC3339),
+		StartUTC:       s.startWall.UTC().Format(time.RFC3339Nano),
 		WallNs:         time.Since(s.startWall).Nanoseconds(),
 		Seed:           s.seed,
 		Workers:        s.workers,

@@ -8,9 +8,9 @@ import (
 )
 
 // Env identifies the machine and toolchain a measurement was taken on. It
-// is embedded in BENCH_*.json baselines (cmd/benchjson) so consumers like
-// cmd/obsdiff can refuse to compare numbers from different machines instead
-// of reporting phantom regressions.
+// is embedded in BENCH_*.json baselines (cmd/benchjson) and lifted from run
+// manifests (Manifest.Env), so cmd/obsdiff groups runs by machine and never
+// gates numbers from different machines against each other.
 type Env struct {
 	// GoVersion is runtime.Version() of the measuring process.
 	GoVersion string `json:"go_version"`
@@ -62,17 +62,11 @@ func gitCommit() string {
 // dirtySuffix marks a commit stamp taken from a modified worktree.
 const dirtySuffix = "-dirty"
 
-// DirtyCommit reports whether a git_commit stamp (from an Env or a
-// Manifest) was taken from a modified worktree. Trend consumers warn on
-// such baselines: the commit does not identify the measured code.
-func DirtyCommit(commit string) bool {
-	return strings.HasSuffix(commit, dirtySuffix)
-}
-
 // Dirty reports whether the env's commit stamp came from a modified
-// worktree. Nil-safe: an unrecorded env is not dirty.
+// worktree. Comparison consumers warn on such artifacts: the commit does
+// not identify the measured code. Nil-safe: an unrecorded env is not dirty.
 func (e *Env) Dirty() bool {
-	return e != nil && DirtyCommit(e.GitCommit)
+	return e != nil && strings.HasSuffix(e.GitCommit, dirtySuffix)
 }
 
 // Comparable reports whether perf numbers measured under e and other can be

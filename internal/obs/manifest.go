@@ -11,9 +11,8 @@ import (
 // Manifest is the JSON run document a cmd binary emits with -metrics: the
 // run's identity (command, toolchain, host shape), its inputs (graph
 // size, options, seed, workers), and its observed behaviour (span tree,
-// counters, gauges, memory deltas, selected runtime metrics). Manifests
-// are written next to the existing BENCH_*.json trajectory files so
-// experiment runs become diffable artifacts.
+// counters, gauges, memory deltas, selected runtime metrics). Written by
+// -metrics, it makes each run an artifact cmd/obsdiff can compare.
 type Manifest struct {
 	// Command is the emitting binary's name (e.g. "shed").
 	Command string `json:"command"`
@@ -27,7 +26,8 @@ type Manifest struct {
 	CPUs int `json:"cpus"`
 	// GoMaxProcs is runtime.GOMAXPROCS at start.
 	GoMaxProcs int `json:"gomaxprocs"`
-	// StartUTC is the run's wall-clock start in RFC 3339 form.
+	// StartUTC is the run's wall-clock start in RFC 3339 form with
+	// nanoseconds, the order cmd/obsdiff puts runs in.
 	StartUTC string `json:"start_utc"`
 	// WallNs is the run's total wall-clock duration.
 	WallNs int64 `json:"wall_ns"`
@@ -48,8 +48,8 @@ type Manifest struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Gauges holds every gauge's final value.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
-	// Histograms holds every histogram's merged bucket snapshot, the
-	// distributions cmd/obsdiff compares by p50/p99.
+	// Histograms holds every histogram's merged bucket snapshot, reported
+	// by cmd/obsdiff as p50/p99.
 	Histograms map[string]*HistogramSnapshot `json:"histograms,omitempty"`
 	// FlightEvents is the flight recorder's tail — the last few thousand
 	// structured events in timestamp order (DESIGN.md §11). Present whenever
@@ -71,13 +71,23 @@ type Manifest struct {
 	// says when.
 	Timeline []RuntimeSample `json:"runtime_timeline,omitempty"`
 	// Quality is the run's quality-probe timeline (DESIGN.md §12): every
-	// Probe recording in offset order, the raw material of cmd/obsreport's
-	// cross-run trend registry. Absent when no probe recorded.
+	// Probe recording in offset order; each (metric, ratio) pair's last
+	// point is the series cmd/obsdiff gates. Absent when no probe recorded.
 	Quality []QualityPoint `json:"quality_timeline,omitempty"`
 	// GitCommit is the repository HEAD the emitting binary ran from, with a
 	// "-dirty" suffix when the worktree was modified; empty outside a git
 	// checkout.
 	GitCommit string `json:"git_commit,omitempty"`
+}
+
+// Env returns the machine identity the manifest was recorded on, in the
+// vocabulary benchmark baselines use, or nil when it records none.
+func (m *Manifest) Env() *Env {
+	if m.GoVersion == "" && m.GOOS == "" {
+		return nil
+	}
+	return &Env{GoVersion: m.GoVersion, GOOS: m.GOOS, GOARCH: m.GOARCH,
+		CPUs: m.CPUs, GitCommit: m.GitCommit}
 }
 
 // GraphInfo is the input graph's size as recorded in a Manifest.

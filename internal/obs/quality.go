@@ -18,7 +18,7 @@ import (
 //   - the latest value as a float gauge family on /metrics
 //     (edgeshed_quality_*), so a live scrape sees quality converging;
 //   - a timestamped QualityPoint in the manifest's quality_timeline array,
-//     the raw material of cmd/obsreport's cross-run trend registry;
+//     the series cmd/obsdiff compares and gates across runs;
 //   - an EvQuality flight event, so quality inflections line up with the
 //     per-worker tracks of the Perfetto export.
 //
@@ -33,7 +33,7 @@ import (
 // probes on or off (pinned by the obs on/off determinism regressions).
 
 // QualityDir tags which direction of a quality metric is good, so trend
-// consumers (cmd/obsreport's gate) know what counts as a regression.
+// consumers (cmd/obsdiff's gate) know what counts as a regression.
 type QualityDir uint8
 
 const (

@@ -180,16 +180,21 @@ func TestQualityManifestRoundTrip(t *testing.T) {
 }
 
 // TestDirtyCommit pins the dirty-worktree stamp vocabulary on forged envs,
-// the satellite's cross-run hygiene check.
+// including a manifest's stamp lifted through Manifest.Env.
 func TestDirtyCommit(t *testing.T) {
-	if !DirtyCommit("abc1234-dirty") || DirtyCommit("abc1234") || DirtyCommit("") {
-		t.Error("DirtyCommit misclassifies")
-	}
 	dirty := &Env{GitCommit: "abc1234-dirty"}
 	clean := &Env{GitCommit: "abc1234"}
 	var unrecorded *Env
-	if !dirty.Dirty() || clean.Dirty() || unrecorded.Dirty() {
+	if !dirty.Dirty() || clean.Dirty() || unrecorded.Dirty() || (&Env{}).Dirty() {
 		t.Error("Env.Dirty misclassifies")
+	}
+	m := &Manifest{Command: "shed", GoVersion: "go1.99", GOOS: "linux", GOARCH: "amd64", CPUs: 8, GitCommit: "abc1234-dirty"}
+	want := &Env{GoVersion: "go1.99", GOOS: "linux", GOARCH: "amd64", CPUs: 8, GitCommit: "abc1234-dirty"}
+	if got := m.Env(); !reflect.DeepEqual(got, want) || !got.Dirty() {
+		t.Errorf("Manifest.Env() = %+v, want dirty %+v", got, want)
+	}
+	if env := (&Manifest{Command: "shed"}).Env(); env != nil {
+		t.Errorf("identity-less manifest lifted to %+v, want nil", env)
 	}
 }
 

@@ -71,8 +71,8 @@ func (s Suite) Evaluate(orig, red *graph.Graph) []Measurement {
 		tsp.End()
 		if sp.Enabled() {
 			// Each row lands on the quality timeline as "suite.<task>" with
-			// the measurement's own good direction, so cmd/obsreport can
-			// trend and gate task fidelity across runs.
+			// the measurement's own good direction, so cmd/obsdiff can
+			// compare and gate task fidelity across runs.
 			dir := obs.DirLower
 			if m.HigherIsBetter {
 				dir = obs.DirHigher
