@@ -1,31 +1,26 @@
-// Command obsdiff compares observability artifacts across runs — run
-// manifests (-metrics output) and BENCH_*.json baselines (cmd/benchjson
-// output) — and, with -max-regress, gates the latest run against the one
-// before it.
+// Command obsdiff compares run manifests (the -metrics output of every
+// cmd binary) across runs and, with -max-regress, gates the latest run
+// against the one before it.
 //
 //	obsdiff run_before.json run_after.json
-//	obsdiff -max-regress 25% bench_base.json BENCH_shedding.json
 //	obsdiff -max-regress 10% results/quality
 //
 // Arguments are files or directories; a directory contributes every *.json
-// file directly inside it and skips the ones that are neither a manifest
-// nor a baseline. Each artifact becomes one flat list of series, each with
-// a name, a direction and a value: a manifest's quality_timeline points
-// keep their probe's direction ("lower" or "higher" is better), a
-// baseline's ns/op and allocs/op are "lower", and everything else (span
-// walls, total wall, histogram p50/p99, counters, gauges) is "info".
-// Artifacts are grouped by command (baselines form the "benchmarks"
-// group) and machine (obs.Env.Comparable), ordered by start time
-// (baselines keep argument order), and shown as one table per group with
-// a latest-vs-previous column.
+// file directly inside it and skips the ones that are not manifests. Each
+// manifest becomes one flat list of series, each with a name, a direction
+// and a value: its quality_timeline points keep their probe's direction
+// ("lower" or "higher" is better), and everything else (span walls, total
+// wall, histogram p50/p99, counters) is "info". Manifests are grouped by
+// command and machine (obs.Env.Comparable), ordered by start time, and
+// shown as one table per group with a latest-vs-previous column.
 //
 // With -max-regress set (a percentage like "25%" or a fraction like
 // "0.25"), a directional series whose latest value moved the bad way by
 // more than the threshold relative to its previous value makes obsdiff
 // exit 1; "info" series never gate. Without it, obsdiff only reports.
 // Exit codes: 0 no breach, 1 threshold breached, 2 unusable input (a
-// missing or malformed file, an artifact without machine identity, no two
-// artifacts of one command, or — under a gate — one command's runs
+// missing or malformed file, a manifest without machine identity, no two
+// manifests of one command, or — under a gate — one command's runs
 // measured on different machines).
 package main
 
@@ -44,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"edgeshed/internal/benchfmt"
 	"edgeshed/internal/obs"
 )
 
@@ -97,15 +91,13 @@ type series struct {
 	value float64
 }
 
-// artifact is one input file reduced to what the comparison needs.
+// artifact is one input manifest reduced to what the comparison needs.
 type artifact struct {
 	path    string
 	command string
 	env     *obs.Env
-	// start orders runs within a group; zero for baselines, which keep
-	// argument order.
-	start  time.Time
-	series []series
+	start   time.Time
+	series  []series
 }
 
 // group is the runs of one command on one machine, in start order.
@@ -169,8 +161,8 @@ func parseMaxRegress(s string) (float64, error) {
 	return v, nil
 }
 
-// collect reads every artifact the arguments name, in argument order. A
-// file named directly must be an artifact; a directory contributes its
+// collect reads every manifest the arguments name, in argument order. A
+// file named directly must be a manifest; a directory contributes its
 // *.json files in name order and skips the ones that are not.
 func collect(args []string, sess *obs.Session) ([]*artifact, error) {
 	var arts []*artifact
@@ -206,13 +198,14 @@ func collect(args []string, sess *obs.Session) ([]*artifact, error) {
 	return arts, nil
 }
 
-// errNotArtifact marks a file that is not a JSON object with the keys of a
-// baseline or a manifest.
-var errNotArtifact = errors.New("neither a benchmark baseline nor a run manifest")
+// errNotArtifact marks a file that is not a JSON object with a "command"
+// key.
+var errNotArtifact = errors.New("not a run manifest")
 
-// readArtifact sniffs whether path is a BENCH_*.json baseline (has a
-// "benchmarks" array) or a run manifest (has a "command") and extracts its
-// series.
+// readArtifact sniffs whether path is a run manifest (a JSON object with a
+// "command") and extracts its quality points (the last point per metric
+// and ratio is the run's final word) with their probes' directions, and
+// its counters, histogram p50/p99, span walls and total wall as info.
 func readArtifact(path string) (*artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -222,55 +215,22 @@ func readArtifact(path string) (*artifact, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("%s: %w: %v", path, errNotArtifact, err)
 	}
-	_, isBench := probe["benchmarks"]
-	_, isManifest := probe["command"]
-	var art *artifact
-	switch {
-	case isBench:
-		art, err = benchArtifact(path)
-	case isManifest:
-		art, err = manifestArtifact(path)
-	default:
+	if _, ok := probe["command"]; !ok {
 		return nil, fmt.Errorf("%s: %w", path, errNotArtifact)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if art.env == nil {
-		return nil, fmt.Errorf("%s records no machine identity", path)
-	}
-	return art, nil
-}
-
-// benchArtifact extracts a baseline's ns/op and allocs/op per benchmark.
-func benchArtifact(path string) (*artifact, error) {
-	rep, err := benchfmt.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	art := &artifact{path: path, command: "benchmarks", env: rep.Env}
-	for _, b := range rep.Benchmarks {
-		art.series = append(art.series,
-			series{b.Name + " ns/op", dirLower, b.NsPerOp},
-			series{b.Name + " allocs/op", dirLower, float64(b.AllocsPerOp)})
-	}
-	return art, nil
-}
-
-// manifestArtifact extracts a manifest's quality points (the last point
-// per metric and ratio is the run's final word) with their probes'
-// directions, and its counters, gauges, histogram p50/p99, span walls and
-// total wall as info.
-func manifestArtifact(path string) (*artifact, error) {
 	m, err := obs.ReadManifest(path)
 	if err != nil {
 		return nil, err
+	}
+	env := m.Env()
+	if env == nil {
+		return nil, fmt.Errorf("%s records no machine identity", path)
 	}
 	start, err := time.Parse(time.RFC3339, m.StartUTC)
 	if err != nil {
 		return nil, fmt.Errorf("%s: bad start_utc: %w", path, err)
 	}
-	art := &artifact{path: path, command: m.Command, env: m.Env(), start: start}
+	art := &artifact{path: path, command: m.Command, env: env, start: start}
 	for _, q := range m.Quality {
 		name := q.Metric
 		if q.Ratio != 0 {
@@ -285,9 +245,6 @@ func manifestArtifact(path string) (*artifact, error) {
 	info := func(name string, v float64) { art.series = append(art.series, series{name, dirInfo, v}) }
 	for k, v := range m.Counters {
 		info("counter "+k, float64(v))
-	}
-	for k, v := range m.Gauges {
-		info("gauge "+k, float64(v))
 	}
 	for k, h := range m.Histograms {
 		info("histogram "+k+" p50", h.Quantile(0.50))
@@ -376,11 +333,8 @@ func render(w io.Writer, g *group, gate float64) []string {
 		fmt.Fprintf(w, "warning: %s\n", warning)
 	}
 	for i, r := range g.runs {
-		line := fmt.Sprintf("- run %d: %s", i+1, filepath.Base(r.path))
-		if !r.start.IsZero() {
-			line += " (" + r.start.Format(time.RFC3339Nano) + ")"
-		}
-		line += " " + r.env.GoVersion
+		line := fmt.Sprintf("- run %d: %s (%s) %s", i+1, filepath.Base(r.path),
+			r.start.Format(time.RFC3339Nano), r.env.GoVersion)
 		if r.env.GitCommit != "" {
 			line += " @" + r.env.GitCommit
 		}

@@ -3,12 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"edgeshed/internal/benchfmt"
 	"edgeshed/internal/obs"
 )
 
@@ -46,31 +46,31 @@ func requireContains(t *testing.T, out string, wants ...string) {
 	}
 }
 
-func benchReport(nsPerOp float64, allocs int64) *benchfmt.Report {
-	return &benchfmt.Report{
-		Env: &obs.Env{GoVersion: "go1.99", GOOS: "linux", GOARCH: "amd64", CPUs: 8},
-		Benchmarks: []benchfmt.Benchmark{
-			{Name: "CRRSweep", Procs: 8, Iterations: 10, NsPerOp: nsPerOp, AllocsPerOp: allocs},
-		},
-	}
+// gated builds a shed manifest that carries a lower-is-better delta and a
+// higher-is-better headroom, the two directions the gate checks.
+func gated(start string, delta, headroom float64) *obs.Manifest {
+	return qmanifest(start, "",
+		qp("crr.delta", 0.5, delta, "lower"),
+		qp("crr.headroom.theorem1", 0.5, headroom, "higher"))
 }
 
-// TestSyntheticRegressionGate is the benchmark gate end to end: a ≥25%
-// ns/op or allocs/op regression under -max-regress 25% exits 1, a smaller
-// one, an identical pair and an improvement exit 0.
+// TestSyntheticRegressionGate is the gate end to end: a directional series
+// that moves the bad way by more than 25% under -max-regress 25% exits 1;
+// a smaller move, an identical pair and an improvement exit 0.
 func TestSyntheticRegressionGate(t *testing.T) {
 	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", benchReport(100_000_000, 40))
+	const next = "2026-01-02T10:00:00Z"
+	base := writeJSON(t, dir, "base.json", gated("2026-01-01T10:00:00Z", 100, 10))
 	for _, tc := range []struct {
 		name string
-		cur  *benchfmt.Report
+		cur  *obs.Manifest
 		want int
 	}{
-		{"regressed-30pct", benchReport(130_000_000, 40), 1},
-		{"regressed-10pct", benchReport(110_000_000, 40), 0},
-		{"identical", benchReport(100_000_000, 40), 0},
-		{"improved", benchReport(70_000_000, 40), 0},
-		{"allocs-regressed", benchReport(100_000_000, 60), 1},
+		{"regressed-30pct", gated(next, 130, 10), 1},
+		{"regressed-10pct", gated(next, 110, 10), 0},
+		{"identical", gated(next, 100, 10), 0},
+		{"improved", gated(next, 70, 10), 0},
+		{"higher-regressed", gated(next, 100, 7), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := writeJSON(t, t.TempDir(), "cur.json", tc.cur)
@@ -85,23 +85,23 @@ func TestSyntheticRegressionGate(t *testing.T) {
 // even on a huge regression, and that the move is reported.
 func TestReportOnlyWithoutGate(t *testing.T) {
 	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", benchReport(100, 0))
-	cur := writeJSON(t, dir, "cur.json", benchReport(1000, 0))
+	base := writeJSON(t, dir, "base.json", gated("2026-01-01T10:00:00Z", 100, 10))
+	cur := writeJSON(t, dir, "cur.json", gated("2026-01-02T10:00:00Z", 1000, 10))
 	code, out := compare(t, "", base, cur)
 	if code != 0 {
 		t.Fatalf("report-only exit code = %d, want 0\n%s", code, out)
 	}
-	requireContains(t, out, "| CRRSweep ns/op | lower | 100 | 1000 | +900.0% |")
+	requireContains(t, out, "| crr.delta@p=0.5 | lower | 100 | 1000 | +900.0% |")
 }
 
 // TestEnvRefusal pins the machine-identity rule: runs from different
 // machines land in separate groups, which reports fine but refuses a gate
-// (exit 2), and an artifact without machine identity is unusable input.
+// (exit 2), and a manifest without machine identity is unusable input.
 func TestEnvRefusal(t *testing.T) {
 	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", benchReport(100, 0))
-	other := benchReport(100, 0)
-	other.Env.GOARCH = "arm64"
+	base := writeJSON(t, dir, "base.json", gated("2026-01-01T10:00:00Z", 100, 10))
+	other := gated("2026-01-02T10:00:00Z", 100, 10)
+	other.GOARCH = "arm64"
 	cur := writeJSON(t, dir, "cur.json", other)
 
 	if _, err := run(&bytes.Buffer{}, []string{base, cur}, "25%", nil); err == nil {
@@ -111,20 +111,14 @@ func TestEnvRefusal(t *testing.T) {
 	if code != 0 {
 		t.Errorf("cross-machine report exit code = %d, want 0", code)
 	}
-	requireContains(t, out, "## benchmarks — linux/amd64, 8 CPUs", "## benchmarks — linux/arm64, 8 CPUs")
+	requireContains(t, out, "## shed — linux/amd64, 8 CPUs", "## shed — linux/arm64, 8 CPUs")
 
-	noEnv := benchReport(100, 0)
-	noEnv.Env = nil
+	noEnv := gated("2026-01-02T10:00:00Z", 100, 10)
+	noEnv.GoVersion, noEnv.GOOS = "", ""
 	curNoEnv := writeJSON(t, dir, "noenv.json", noEnv)
 	if _, err := run(&bytes.Buffer{}, []string{base, curNoEnv}, "", nil); err == nil ||
 		!strings.Contains(err.Error(), "no machine identity") {
-		t.Errorf("env-less baseline: err = %v, want a missing-identity error", err)
-	}
-	m := manifest(80_000_000, 1000)
-	m.GoVersion, m.GOOS = "", ""
-	if _, err := run(&bytes.Buffer{}, []string{writeJSON(t, dir, "m.json", manifest(80_000_000, 1000)),
-		writeJSON(t, dir, "mnoenv.json", m)}, "", nil); err == nil {
-		t.Error("env-less manifest accepted")
+		t.Errorf("env-less manifest: err = %v, want a missing-identity error", err)
 	}
 }
 
@@ -132,17 +126,17 @@ func TestEnvRefusal(t *testing.T) {
 // not a new machine: the two runs share a group, and the gate compares them.
 func TestToolchainDiffSharesGroup(t *testing.T) {
 	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", benchReport(100, 0))
-	bumped := benchReport(200, 0)
-	bumped.Env.GoVersion = "go2.0"
+	base := writeJSON(t, dir, "base.json", gated("2026-01-01T10:00:00Z", 100, 10))
+	bumped := gated("2026-01-02T10:00:00Z", 200, 10)
+	bumped.GoVersion = "go2.0"
 	code, out := compare(t, "25%", base, writeJSON(t, dir, "cur.json", bumped))
 	if code != 1 {
 		t.Errorf("exit code = %d, want 1 (the bumped run is gated)\n%s", code, out)
 	}
-	if n := strings.Count(out, "## benchmarks"); n != 1 {
+	if n := strings.Count(out, "## shed"); n != 1 {
 		t.Errorf("%d groups, want 1\n%s", n, out)
 	}
-	requireContains(t, out, "warning: go toolchain differs: go1.99 vs go2.0")
+	requireContains(t, out, "warning: go toolchain differs: go1.23.0 vs go2.0")
 }
 
 func manifest(sweepNs int64, attempts int64) *obs.Manifest {
@@ -186,14 +180,16 @@ func TestManifestDiff(t *testing.T) {
 		"| counter crr.rewire.attempts | info | 1000 | 1500 | +50.0% |")
 }
 
-// TestMixedKindsRefused pins that a manifest cannot be diffed against a
-// benchmark baseline: no two artifacts share a command.
+// TestMixedKindsRefused pins that runs of different commands are never
+// diffed against each other: a shed manifest and an analyze manifest share
+// no command, so there is nothing to compare.
 func TestMixedKindsRefused(t *testing.T) {
 	dir := t.TempDir()
-	b := writeJSON(t, dir, "bench.json", benchReport(100, 0))
-	m := writeJSON(t, dir, "manifest.json", manifest(1_000_000, 1))
-	if _, err := run(&bytes.Buffer{}, []string{b, m}, "", nil); err == nil {
-		t.Error("mixed kinds accepted")
+	a := manifest(1_000_000, 1)
+	a.Command = "analyze"
+	s := writeJSON(t, dir, "shed.json", manifest(1_000_000, 1))
+	if _, err := run(&bytes.Buffer{}, []string{s, writeJSON(t, dir, "analyze.json", a)}, "", nil); err == nil {
+		t.Error("mixed commands accepted")
 	}
 }
 
@@ -233,7 +229,7 @@ func TestDetectKindErrors(t *testing.T) {
 		t.Error("unrecognized document accepted")
 	}
 	// Named on the command line, an unrecognized file is unusable input.
-	base := writeJSON(t, dir, "base.json", benchReport(100, 0))
+	base := writeJSON(t, dir, "base.json", manifest(80_000_000, 1000))
 	if _, err := run(&bytes.Buffer{}, []string{base, base, other}, "", nil); err == nil {
 		t.Error("unrecognized file argument accepted")
 	}
@@ -291,10 +287,11 @@ func TestManifestDiffHistograms(t *testing.T) {
 func TestDirtyCommitWarnings(t *testing.T) {
 	dir := t.TempDir()
 
-	dirty := benchReport(100, 0)
-	dirty.Env.GitCommit = "abc1234-dirty"
+	dirty := manifest(80_000_000, 1000)
+	dirty.GitCommit = "abc1234-dirty"
+	dirty.StartUTC = "2025-12-31T10:00:00Z"
 	base := writeJSON(t, dir, "dirty.json", dirty)
-	cur := writeJSON(t, dir, "clean.json", benchReport(100, 0))
+	cur := writeJSON(t, dir, "clean.json", manifest(80_000_000, 1000))
 	_, out := compare(t, "", base, cur)
 	requireContains(t, out, "dirty.json was measured on a dirty worktree (abc1234-dirty)")
 
@@ -443,33 +440,6 @@ func TestEnvGroupsSeparate(t *testing.T) {
 	}
 }
 
-// TestBenchBaselinesTrend pins the baseline side of an N-run report: one
-// row per benchmark, runs in argument order, dirty stamps flagged, and
-// ns/op gated on its latest move.
-func TestBenchBaselinesTrend(t *testing.T) {
-	dir := t.TempDir()
-	env := &obs.Env{GoVersion: "go1.23.0", GOOS: "linux", GOARCH: "amd64", CPUs: 8, GitCommit: "ccc3333-dirty"}
-	report := func(ns float64) *benchfmt.Report {
-		return &benchfmt.Report{Env: env, Benchmarks: []benchfmt.Benchmark{
-			{Name: "CRRReduce", Procs: 8, Iterations: 10, NsPerOp: ns},
-		}}
-	}
-	b := writeJSON(t, dir, "BENCH_b.json", report(1200))
-	a := writeJSON(t, dir, "BENCH_a.json", report(1000))
-	code, out := compare(t, "10%", a, b)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (ns/op +20%%)\n%s", code, out)
-	}
-	requireContains(t, out,
-		"## benchmarks — linux/amd64, 8 CPUs",
-		"| CRRReduce ns/op | lower | 1000 | 1200 | +20.0% |",
-		"dirty worktree")
-	// Argument order, not file name order, decides which run is latest.
-	if code, out := compare(t, "10%", b, a); code != 0 {
-		t.Errorf("improvement exit code = %d, want 0\n%s", code, out)
-	}
-}
-
 func TestSkipsUnrecognizedFiles(t *testing.T) {
 	dir := t.TempDir()
 	writeJSON(t, dir, "run1.json", qmanifest("2026-01-01T10:00:00Z", "", qp("crr.delta", 0.5, 24.5, "lower")))
@@ -483,8 +453,16 @@ func TestSkipsUnrecognizedFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	bench := writeJSON(t, dir, "bench_shedding.json", map[string]any{
+		"env":        obs.Env{GoVersion: "go1.23.0", GOOS: "linux", GOARCH: "amd64", CPUs: 8},
+		"benchmarks": []map[string]any{{"name": "CRRSweep", "ns_per_op": 100}},
+	})
 	if code, out := compare(t, "", dir); code != 0 {
 		t.Fatalf("stray files broke the report: exit code %d\n%s", code, out)
+	}
+	// Named on the command line, the benchmark-shaped file is unusable input.
+	if _, err := run(&bytes.Buffer{}, []string{dir, bench}, "", nil); !errors.Is(err, errNotArtifact) {
+		t.Errorf("benchmark-shaped argument: err = %v, want %v", err, errNotArtifact)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // Env identifies the machine and toolchain a measurement was taken on. It
-// is embedded in BENCH_*.json baselines (cmd/benchjson) and lifted from run
-// manifests (Manifest.Env), so cmd/obsdiff groups runs by machine and never
-// gates numbers from different machines against each other.
+// is lifted from run manifests (Manifest.Env), so cmd/obsdiff groups runs
+// by machine and never gates numbers from different machines against each
+// other, and perfbench records it with every benchmark run.
 type Env struct {
 	// GoVersion is runtime.Version() of the measuring process.
 	GoVersion string `json:"go_version"`
@@ -73,7 +73,7 @@ func (e *Env) Dirty() bool {
 // meaningfully compared: same OS, architecture and CPU count. A differing
 // Go toolchain shifts numbers too, but PRs bump toolchains on purpose, so
 // that difference is returned as a warning string rather than an error.
-// Either side nil means the environment is unrecorded (a pre-env baseline);
+// Either side nil means the environment is unrecorded (an older record);
 // that is not an error — the caller cannot verify, and should say so.
 func (e *Env) Comparable(other *Env) (warning string, err error) {
 	if e == nil || other == nil {

@@ -11,7 +11,7 @@ import (
 // Manifest is the JSON run document a cmd binary emits with -metrics: the
 // run's identity (command, toolchain, host shape), its inputs (graph
 // size, options, seed, workers), and its observed behaviour (span tree,
-// counters, gauges, memory deltas, selected runtime metrics). Written by
+// counters, histograms, memory deltas, selected runtime metrics). Written by
 // -metrics, it makes each run an artifact cmd/obsdiff can compare.
 type Manifest struct {
 	// Command is the emitting binary's name (e.g. "shed").
@@ -46,8 +46,6 @@ type Manifest struct {
 	Spans *SpanNode `json:"spans,omitempty"`
 	// Counters holds every counter's merged final value.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Gauges holds every gauge's final value.
-	Gauges map[string]int64 `json:"gauges,omitempty"`
 	// Histograms holds every histogram's merged bucket snapshot, reported
 	// by cmd/obsdiff as p50/p99.
 	Histograms map[string]*HistogramSnapshot `json:"histograms,omitempty"`
@@ -80,8 +78,8 @@ type Manifest struct {
 	GitCommit string `json:"git_commit,omitempty"`
 }
 
-// Env returns the machine identity the manifest was recorded on, in the
-// vocabulary benchmark baselines use, or nil when it records none.
+// Env returns the machine identity the manifest was recorded on, or nil
+// when it records none.
 func (m *Manifest) Env() *Env {
 	if m.GoVersion == "" && m.GOOS == "" {
 		return nil

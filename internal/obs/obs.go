@@ -1,5 +1,5 @@
 // Package obs is the repository's observability layer: phase spans with
-// monotonic timings, sharded counters and gauges, runtime profile/trace
+// monotonic timings, sharded counters, runtime profile/trace
 // capture, and JSON run manifests — stdlib only, threaded through every
 // kernel and cmd binary.
 //
@@ -23,8 +23,6 @@
 //   - A Counter counts events — something that happens per item (sources
 //     completed, rewiring attempts accepted, queue operations). Counters
 //     are sharded so parallel workers never contend.
-//   - A Gauge records a level — a value observed, not accumulated (peak
-//     heap bytes, resolved worker count).
 //   - A Histogram records a distribution — per-item values whose spread
 //     matters, not just their sum (per-batch BFS times, MS-BFS level
 //     widths, CRR delta magnitudes). Power-of-two buckets, sharded like
@@ -34,19 +32,18 @@
 //     per-worker rings, the raw material of the trace-event export and the
 //     panic dump (DESIGN.md §11).
 //
-// A Recorder owns one run's root span, counters and gauges, and snapshots
+// A Recorder owns one run's root span, counters and histograms, and snapshots
 // into a Manifest — the diffable JSON document every cmd binary can emit
 // via its -metrics flag (see CLI).
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
 // Recorder owns the instrumentation state of one run: the root span, the
-// counter and gauge registries, and the start time every span offset is
+// counter and histogram registries, and the start time every span offset is
 // relative to. A nil Recorder is the disabled state: every method no-ops
 // (or returns a nil handle whose methods no-op) without allocating.
 type Recorder struct {
@@ -56,7 +53,6 @@ type Recorder struct {
 
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	probes     map[string]*Probe
 
@@ -74,7 +70,6 @@ func New(name string) *Recorder {
 	r := &Recorder{
 		start:      time.Now(),
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		probes:     make(map[string]*Probe),
 	}
@@ -134,22 +129,6 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return h
 }
 
-// Gauge returns the named gauge, creating it on first use. Nil-safe like
-// Counter.
-func (r *Recorder) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // CounterValues snapshots every registered counter as a name → merged-value
 // map. A nil or counter-less Recorder returns nil.
 func (r *Recorder) CounterValues() map[string]int64 {
@@ -164,24 +143,6 @@ func (r *Recorder) CounterValues() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] = c.Value()
-	}
-	return out
-}
-
-// GaugeValues snapshots every registered gauge as a name → value map. A nil
-// or gauge-less Recorder returns nil.
-func (r *Recorder) GaugeValues() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.gauges) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
 	}
 	return out
 }
@@ -212,20 +173,4 @@ func (r *Recorder) SpanTree() *SpanNode {
 		return nil
 	}
 	return r.root.node(r.start, time.Now())
-}
-
-// counterNames returns the registered counter names in sorted order; used
-// by tests and debug output that want stable iteration.
-func (r *Recorder) counterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -17,7 +17,7 @@ import (
 // -debug-addr flag, see CLI) that exposes the run's Recorder while it is
 // still running — the counterpart of the post-mortem manifest. Endpoints:
 //
-//	/metrics        live counters, gauges, histograms and runtime/metrics
+//	/metrics        live counters, quality probes, histograms and runtime/metrics
 //	                in Prometheus text exposition format
 //	/progress       the live span tree as JSON, with elapsed times, unit
 //	                progress and ETAs
@@ -97,12 +97,11 @@ func progressSnapshot(rec *Recorder) *ProgressSnapshot {
 	}
 }
 
-// metricHelp maps internal metric names (counter/gauge/histogram registry
+// metricHelp maps internal metric names (counter/probe/histogram registry
 // keys) to their # HELP text. Metrics not listed fall back to a generic
 // line; keeping the registry here — not at every call site — means one
 // place to scan for the exposition vocabulary.
 var metricHelp = map[string]string{
-	"benchjson.lines":            "Benchmark output lines parsed.",
 	"betweenness.sources_done":   "Brandes/MS-BFS betweenness source vertices completed.",
 	"bm2.avg_dis":                "BM2 achieved average degree discrepancy per node.",
 	"bm2.bound.theorem2":         "Theorem 2 bound on BM2 average discrepancy per node.",
@@ -136,7 +135,6 @@ var metricHelp = map[string]string{
 	"flatpq.pushes":              "Flat priority-queue push operations.",
 	"flatpq.removes":             "Flat priority-queue remove operations.",
 	"flatpq.updates":             "Flat priority-queue update operations.",
-	"graph.edges":                "Input graph edge count.",
 	"heap_alloc_bytes":           "Live heap bytes at sample time.",
 	"ingest.bytes":               "Input bytes ingested.",
 	"ingest.edges":               "Edges ingested.",
@@ -195,11 +193,11 @@ func uniqueMetricNames(names []string, prefix, suffix string) map[string]string 
 }
 
 // writeMetrics renders the Prometheus text exposition: every Recorder
-// counter as an edgeshed_*_total counter, every gauge as an edgeshed_*
-// gauge, every histogram as an edgeshed_* histogram family (cumulative
-// power-of-two buckets), and the curated runtime/metrics set as go_*
-// gauges — each family with # HELP and # TYPE lines. Families are emitted
-// in sorted name order so consecutive scrapes diff cleanly.
+// counter as an edgeshed_*_total counter, every quality probe as an
+// edgeshed_quality_* gauge, every histogram as an edgeshed_* histogram
+// family (cumulative power-of-two buckets), and the curated runtime/metrics
+// set as go_* gauges — each family with # HELP and # TYPE lines. Families
+// are emitted in sorted name order so consecutive scrapes diff cleanly.
 func writeMetrics(w http.ResponseWriter, rec *Recorder) {
 	if rec != nil {
 		fmt.Fprintf(w, "# HELP edgeshed_run_info %s\n", helpFor("run_info"))
@@ -209,12 +207,6 @@ func writeMetrics(w http.ResponseWriter, rec *Recorder) {
 		for _, name := range sortedKeys(counters) {
 			m := counterFams[name]
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m, helpFor(name), m, m, counters[name])
-		}
-		gauges := rec.GaugeValues()
-		gaugeFams := uniqueMetricNames(sortedKeys(gauges), "edgeshed_", "")
-		for _, name := range sortedKeys(gauges) {
-			m := gaugeFams[name]
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", m, helpFor(name), m, m, gauges[name])
 		}
 		quals := rec.QualityValues()
 		qualFams := uniqueMetricNames(sortedFloatKeys(quals), "edgeshed_quality_", "")
