@@ -32,7 +32,6 @@ func main() {
 		sources  = flag.Int("sources", 0, "BFS/betweenness/closeness source samples (0 = exact)")
 		seed     = flag.Int64("seed", 1, "sampling seed")
 		workers  = flag.Int("workers", 0, "worker goroutines for parallel kernels (0 = GOMAXPROCS); results are identical at any count")
-		batch    = flag.Int("batch", 0, "MS-BFS sources per batch for betweenness/closeness, 1..64 (0 or out of range = the full 64-wide word); results are identical at any width")
 	)
 	cli := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -41,7 +40,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
-	runErr := obs.Run(sess, func() error { return run(os.Stdout, *in, *taskList, *topPct, *sources, *seed, *workers, *batch, sess) })
+	runErr := obs.Run(sess, func() error { return run(os.Stdout, *in, *taskList, *topPct, *sources, *seed, *workers, sess) })
 	if cerr := sess.Close(); runErr == nil {
 		runErr = cerr
 	}
@@ -51,7 +50,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer, in, taskList string, topPct float64, sources int, seed int64, workers, batch int, sess *obs.Session) error {
+func run(w io.Writer, in, taskList string, topPct float64, sources int, seed int64, workers int, sess *obs.Session) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -132,14 +131,14 @@ func run(w io.Writer, in, taskList string, topPct float64, sources int, seed int
 			fmt.Fprintf(w, "\nconnected components: %d; largest: %d nodes (%.1f%%)\n",
 				count, len(lc), 100*float64(len(lc))/float64(g.NumNodes()))
 		case "betweenness":
-			opt := centrality.Options{Samples: sources, Seed: seed, Workers: workers, Batch: batch, Obs: tsp}
+			opt := centrality.Options{Samples: sources, Seed: seed, Workers: workers, Obs: tsp}
 			bc := centrality.NodeBetweenness(g, opt)
 			fmt.Fprintln(w, "\ntop-10 nodes by betweenness centrality (label: score):")
 			for _, u := range analysis.TopK(bc, 10) {
 				fmt.Fprintf(w, "  %d: %.2f\n", label(u), bc[u])
 			}
 		case "closeness":
-			cl := centrality.Closeness(g, centrality.Options{Samples: sources, Seed: seed, Workers: workers, Batch: batch, Obs: tsp})
+			cl := centrality.Closeness(g, centrality.Options{Samples: sources, Seed: seed, Workers: workers, Obs: tsp})
 			fmt.Fprintln(w, "\ntop-10 nodes by closeness centrality (label: score):")
 			for _, u := range analysis.TopK(cl, 10) {
 				fmt.Fprintf(w, "  %d: %.4f\n", label(u), cl[u])

@@ -36,7 +36,6 @@ func main() {
 		skipUDS = flag.Bool("skip-uds", false, "skip the UDS comparator (it dominates runtime)")
 		md      = flag.Bool("md", false, "render tables as GitHub-flavored Markdown")
 		workers = flag.Int("workers", 0, "worker goroutines for parallel kernels (0 = GOMAXPROCS); measured values are identical at any count")
-		batch   = flag.Int("batch", 0, "MS-BFS sources per centrality batch, 1..64 (0 or out of range = the full 64-wide word); measured values are identical at any width")
 	)
 	cli := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -46,7 +45,7 @@ func main() {
 		os.Exit(1)
 	}
 	runErr := obs.Run(sess, func() error {
-		return run(*runID, *list, *scale, *seed, *psFlag, *out, *skipUDS, *md, *workers, *batch, sess)
+		return run(*runID, *list, *scale, *seed, *psFlag, *out, *skipUDS, *md, *workers, sess)
 	})
 	if cerr := sess.Close(); runErr == nil {
 		runErr = cerr
@@ -57,7 +56,7 @@ func main() {
 	}
 }
 
-func run(runID string, list bool, scale int, seed int64, psFlag, out string, skipUDS, md bool, workers, batch int, sess *obs.Session) error {
+func run(runID string, list bool, scale int, seed int64, psFlag, out string, skipUDS, md bool, workers int, sess *obs.Session) error {
 	if list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
@@ -86,7 +85,7 @@ func run(runID string, list bool, scale int, seed int64, psFlag, out string, ski
 		defer f.Close()
 		w = f
 	}
-	cfg := experiments.Config{Out: w, Scale: scale, Seed: seed, Ps: ps, SkipUDS: skipUDS, Markdown: md, Workers: workers, Batch: batch,
+	cfg := experiments.Config{Out: w, Scale: scale, Seed: seed, Ps: ps, SkipUDS: skipUDS, Markdown: md, Workers: workers,
 		// Long sweeps print nothing until a table completes; under -v each
 		// finished (dataset, p, method) cell logs a line instead.
 		Progress: sess.Verbosef}

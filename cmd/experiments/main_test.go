@@ -8,25 +8,25 @@ import (
 )
 
 func TestRunListMode(t *testing.T) {
-	if err := run("", true, 16, 0, "", "", false, false, 0, 0, nil); err != nil {
+	if err := run("", true, 16, 0, "", "", false, false, 0, nil); err != nil {
 		t.Fatalf("list mode: %v", err)
 	}
 }
 
 func TestRunRequiresID(t *testing.T) {
-	if err := run("", false, 16, 0, "", "", false, false, 0, 0, nil); err == nil {
+	if err := run("", false, 16, 0, "", "", false, false, 0, nil); err == nil {
 		t.Error("missing -run accepted")
 	}
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if err := run("bogus", false, 16, 0, "", "", false, false, 0, 0, nil); err == nil {
+	if err := run("bogus", false, 16, 0, "", "", false, false, 0, nil); err == nil {
 		t.Error("unknown experiment id accepted")
 	}
 }
 
 func TestRunBadPs(t *testing.T) {
-	if err := run("t3", false, 128, 0, "0.5,abc", "", false, false, 0, 0, nil); err == nil {
+	if err := run("t3", false, 128, 0, "0.5,abc", "", false, false, 0, nil); err == nil {
 		t.Error("malformed -ps accepted")
 	}
 }
@@ -36,7 +36,7 @@ func TestRunOneExperimentToFile(t *testing.T) {
 		t.Skip("not short")
 	}
 	out := filepath.Join(t.TempDir(), "t3.txt")
-	if err := run("t3", false, 128, 0, "0.5", out, true, false, 0, 0, nil); err != nil {
+	if err := run("t3", false, 128, 0, "0.5", out, true, false, 0, nil); err != nil {
 		t.Fatalf("run t3: %v", err)
 	}
 	data, err := os.ReadFile(out)
@@ -53,7 +53,7 @@ func TestRunMarkdownMode(t *testing.T) {
 		t.Skip("not short")
 	}
 	out := filepath.Join(t.TempDir(), "t3.md")
-	if err := run("t3", false, 128, 0, "0.5", out, true, true, 0, 0, nil); err != nil {
+	if err := run("t3", false, 128, 0, "0.5", out, true, true, 0, nil); err != nil {
 		t.Fatalf("run t3 -md: %v", err)
 	}
 	data, err := os.ReadFile(out)

@@ -43,7 +43,6 @@ type shedOpts struct {
 	steps     int
 	samples   int
 	workers   int
-	batch     int
 	seed      int64
 	statsJSON string
 }
@@ -58,7 +57,6 @@ func main() {
 	flag.IntVar(&opt.samples, "samples", 0, "betweenness source samples (0 = exact)")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
 	flag.IntVar(&opt.workers, "workers", 0, "worker goroutines for the betweenness kernel and CRR multi-ratio sweeps (0 = GOMAXPROCS); output is identical at any count")
-	flag.IntVar(&opt.batch, "batch", 0, "MS-BFS sources per betweenness batch, 1..64 (0 or out of range = the full 64-wide word); output is identical at any width")
 	flag.StringVar(&opt.statsJSON, "stats-json", "", "write reduction statistics (edge counts, Δ, theorem bounds) as JSON to this file")
 	cli := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -153,7 +151,7 @@ func run(opt shedOpts, sess *obs.Session) error {
 	sess.Logf("loaded %s: |V|=%d |E|=%d", opt.in, g.NumNodes(), g.NumEdges())
 
 	var reducer core.Reducer
-	bopt := centrality.Options{Samples: opt.samples, Seed: opt.seed + 1, Workers: opt.workers, Batch: opt.batch}
+	bopt := centrality.Options{Samples: opt.samples, Seed: opt.seed + 1, Workers: opt.workers}
 	switch strings.ToLower(opt.method) {
 	case "crr":
 		reducer = core.CRR{Seed: opt.seed, Steps: opt.steps, Betweenness: bopt, Workers: opt.workers, Obs: sess.Root()}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -295,43 +294,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(shedOpts{in: filepath.Join(t.TempDir(), "nope.txt"), out: out, method: "crr", ps: "0.5", seed: 1}, nil); err == nil {
 		t.Error("missing input file accepted")
-	}
-}
-
-// TestRunBatchBitIdentical pins the -batch contract end to end: the MS-BFS
-// batch width only regroups the Phase 1 betweenness traversals, so reduced
-// outputs and stats must be byte-identical at every width — widths 1, 8 and
-// the 64-wide default must all reproduce the -batch 0 bytes exactly.
-func TestRunBatchBitIdentical(t *testing.T) {
-	in, _ := writeTestGraph(t)
-	dir := t.TempDir()
-	read := func(batch int) ([]byte, []byte) {
-		out := filepath.Join(dir, fmt.Sprintf("r%d.txt", batch))
-		statsPath := filepath.Join(dir, fmt.Sprintf("s%d.json", batch))
-		opt := shedOpts{in: in, out: out, method: "crr", ps: "0.5", seed: 4,
-			workers: 2, batch: batch, statsJSON: statsPath}
-		if err := run(opt, nil); err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		red, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := os.ReadFile(statsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return red, stats
-	}
-	wantRed, wantStats := read(0)
-	for _, batch := range []int{1, 8, 64} {
-		red, stats := read(batch)
-		if !bytes.Equal(red, wantRed) {
-			t.Errorf("-batch %d reduced output differs from -batch 0", batch)
-		}
-		if !bytes.Equal(stats, wantStats) {
-			t.Errorf("-batch %d stats differ from -batch 0", batch)
-		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package analysis
 
 // Property tests for the MS-BFS distance profile: bit-identity across
-// worker counts and batch widths against the preserved per-source kernel
+// worker counts and source counts against the preserved per-source kernel
 // (persource_test.go), and non-perturbation under a live obs recorder.
 
 import (
+	"fmt"
 	"testing"
 
 	"edgeshed/internal/graph"
@@ -32,11 +33,12 @@ func profilesEqual(t *testing.T, label string, got, want *DistanceProfile) {
 	}
 }
 
-// TestProfileBitIdenticalAcrossWorkersAndBatch pins NewDistanceProfile
+// TestProfileBitIdenticalAcrossWorkersAndSources pins NewDistanceProfile
 // bit-exactly to the replaced per-source direction-optimizing kernel across
-// graphs, exact and sampled source sets, worker counts and batch widths:
-// every configuration counts the same integers.
-func TestProfileBitIdenticalAcrossWorkersAndBatch(t *testing.T) {
+// graphs, worker counts and source counts: 16, 30 and 60 sampled sources
+// fill one 64-wide batch partly, 0 (exact) runs full batches plus a partial
+// tail, and every configuration counts the same integers.
+func TestProfileBitIdenticalAcrossWorkersAndSources(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -47,22 +49,12 @@ func TestProfileBitIdenticalAcrossWorkersAndBatch(t *testing.T) {
 			{U: 0, V: 1}, {U: 1, V: 2}, {U: 10, V: 11}, {U: 11, V: 12}, {U: 12, V: 13},
 		})},
 	}
-	modes := []ProfileOptions{{}, {Sources: 64, Seed: 5}}
 	for _, tg := range graphs {
-		for _, mode := range modes {
-			want := perSourceDistanceProfile(tg.g, mode)
+		for _, sources := range []int{16, 30, 60, 0} {
+			want := perSourceDistanceProfile(tg.g, ProfileOptions{Sources: sources, Seed: 5})
 			for _, workers := range []int{1, 2, 4, 7} {
-				for _, batch := range []int{1, 8, 64} {
-					opt := mode
-					opt.Workers = workers
-					opt.Batch = batch
-					got := NewDistanceProfile(tg.g, opt)
-					label := tg.name
-					if mode.Sources > 0 {
-						label += "/sampled"
-					}
-					profilesEqual(t, label, got, want)
-				}
+				got := NewDistanceProfile(tg.g, ProfileOptions{Sources: sources, Seed: 5, Workers: workers})
+				profilesEqual(t, fmt.Sprintf("%s sources=%d workers=%d", tg.name, sources, workers), got, want)
 			}
 		}
 	}
@@ -74,8 +66,8 @@ func TestProfileBitIdenticalAcrossWorkersAndBatch(t *testing.T) {
 func TestProfileBitIdenticalWithObs(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 11)
 	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{1, 64} {
-			opt := ProfileOptions{Sources: 96, Seed: 5, Workers: workers, Batch: batch}
+		for _, sources := range []int{16, 96} {
+			opt := ProfileOptions{Sources: sources, Seed: 5, Workers: workers}
 			want := NewDistanceProfile(g, opt)
 			rec := obs.New("test")
 			prev := par.SetSlotObserver(rec.Flight())
@@ -90,18 +82,18 @@ func TestProfileBitIdenticalWithObs(t *testing.T) {
 				"bfs.sources_done", "msbfs.batches_done", "msbfs.words_scanned",
 			} {
 				if vals[name] == 0 {
-					t.Fatalf("workers=%d batch=%d: counter %q missing or zero: %v", workers, batch, name, vals)
+					t.Fatalf("workers=%d sources=%d: counter %q missing or zero: %v", workers, sources, name, vals)
 				}
 			}
 			// Wide batches can saturate occupancy at level 1 and run every
 			// level bottom-up, so assert on the direction tallies jointly.
 			if vals["bfs.topdown_levels"]+vals["bfs.bottomup_levels"] == 0 {
-				t.Fatalf("workers=%d batch=%d: no BFS levels recorded: %v", workers, batch, vals)
+				t.Fatalf("workers=%d sources=%d: no BFS levels recorded: %v", workers, sources, vals)
 			}
 			hists := rec.HistogramValues()
 			for _, name := range []string{"msbfs.batch_ns", "msbfs.batch_occupancy", "msbfs.level_width"} {
 				if hists[name] == nil || hists[name].Count == 0 {
-					t.Fatalf("workers=%d batch=%d: histogram %q missing or empty", workers, batch, name)
+					t.Fatalf("workers=%d sources=%d: histogram %q missing or empty", workers, sources, name)
 				}
 			}
 		}

@@ -40,11 +40,6 @@ type ProfileOptions struct {
 	// scaled once at the end — so the profile is bit-identical at any
 	// worker count.
 	Workers int
-	// Batch is the MS-BFS batch width: how many sources share one
-	// traversal, one bit of the per-node word each. 0 or any out-of-range
-	// value selects the full 64-bit word. The width changes wall-clock time
-	// only — the profile is bit-identical at any Batch.
-	Batch int
 	// Obs is the parent observability span; nil (the zero value) records
 	// nothing at no cost. When set, the kernel reports a "distance_profile"
 	// span with per-worker busy time plus counters for sources completed and
@@ -63,13 +58,15 @@ func (o ProfileOptions) sources(n int) ([]graph.NodeID, float64) {
 }
 
 // NewDistanceProfile computes the distance profile of g on the bit-parallel
-// MS-BFS engine: sources are grouped into batches of up to 64 (Batch bits
-// of one uint64 word per node), every batch runs one shared
+// MS-BFS engine: sources are grouped into batches of up to 64
+// (msbfs.MaxWidth, the full uint64 word per node — the state is popcounted
+// words with no per-bit rows, so a narrower batch would only add
+// traversals), every batch runs one shared
 // direction-optimizing traversal, and each level's (source, target) pair
 // count is the popcount of its arrival words. Batches stride statically
 // across workers; the per-worker integer counts merge exactly and are
 // scaled by |V|/Sources once at the end, so the profile is bit-identical at
-// any Workers count and any Batch width.
+// any Workers count and any batch width.
 func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 	n := g.NumNodes()
 	srcs, scale := opt.sources(n)
@@ -78,7 +75,7 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 		return p
 	}
 	c := g.CSR()
-	width := msbfs.Width(opt.Batch)
+	const width = msbfs.MaxWidth
 	numBatches := (len(srcs) + width - 1) / width
 	workers := par.Workers(opt.Workers, numBatches)
 	sp := opt.Obs.Start("distance_profile")

@@ -5,11 +5,11 @@
 // computation violates the paper's resource constraints.
 //
 // Every public entry point runs on the bit-parallel MS-BFS engine
-// (internal/msbfs): one traversal carries up to Options.Batch sources, the
+// (internal/msbfs): one traversal carries up to 64 sources, the
 // sigma/delta phases walk the discovered levels with one float64 per
 // (node, batch bit) pair, and node and edge dependencies fold through the
 // fixed-shard discipline in a canonical order — so the scores are
-// bit-identical at any Workers count and any Batch width. The seed
+// bit-identical at any Workers count and any batch width. The seed
 // per-source path is preserved in persource.go as the oracle and benchmark
 // baseline.
 //
@@ -18,8 +18,6 @@
 package centrality
 
 import (
-	"fmt"
-
 	"edgeshed/internal/graph"
 	"edgeshed/internal/obs"
 )
@@ -41,15 +39,6 @@ type Options struct {
 	Workers int
 	// Seed drives source sampling; ignored when exact.
 	Seed int64
-	// Batch is the MS-BFS batch width: how many sources share one
-	// traversal, one bit each. 0, negative, or >64 — anything outside
-	// [1, 64] — selects the full 64-bit word, mirroring how Samples and
-	// Workers absorb out-of-range values (msbfs.Width is the single
-	// clamping point). The width changes wall-clock time and scratch memory
-	// only (batched Brandes holds 16·Batch bytes of sigma/delta state per
-	// node per worker) — node AND edge scores are bit-identical at any
-	// width.
-	Batch int
 	// Obs is the parent observability span; nil (the zero value) records
 	// nothing at no cost. When set, the kernel reports a "betweenness" span
 	// with per-worker busy time, a "betweenness.sources_done" counter, the
@@ -79,41 +68,12 @@ func (o Options) sources(n int) ([]graph.NodeID, float64) {
 	return graph.SampleNodeIDs(n, s, o.Seed), float64(n) / float64(s)
 }
 
-// EdgeScores holds per-edge betweenness aligned with g.Edges().
-//
-// Scores is the primary representation: Scores[i] belongs to g.Edges()[i],
-// and every consumer in this repository indexes it directly. Of resolves an
-// edge through the CSR's binary-search EdgeIDOf — O(log deg) on flat
-// arrays, no lazily built map, no allocation.
-type EdgeScores struct {
-	g      *graph.Graph
-	Scores []float64 // Scores[i] is the betweenness of g.Edges()[i]
-}
-
-// Of returns the score of edge e (any orientation). It panics if e is not
-// an edge of the underlying graph. Each call is one O(log deg)
-// binary search over the CSR's slot arrays; prefer indexing Scores
-// directly when the edge id is known.
-func (s *EdgeScores) Of(e graph.Edge) float64 {
-	i := s.g.CSR().EdgeIDOf(e.U, e.V)
-	if i < 0 {
-		panic(fmt.Sprintf("centrality: edge %v not in graph", e))
-	}
-	return s.Scores[i]
-}
-
-// Edge returns the i-th edge, aligned with Scores[i].
-func (s *EdgeScores) Edge(i int) graph.Edge { return s.g.Edges()[i] }
-
-// Len returns the number of scored edges.
-func (s *EdgeScores) Len() int { return len(s.Scores) }
-
 // NodeBetweenness returns per-node betweenness centrality (unnormalized,
 // with each unordered pair contributing once, as is conventional for
 // undirected graphs). It runs on the bit-parallel MS-BFS engine — up to 64
-// sources per traversal (Options.Batch), folded through the fixed-shard
-// discipline in a canonical per-level order — so the scores are
-// bit-identical at any Workers count and any Batch width, and bit-exactly
+// sources per traversal, folded through the fixed-shard discipline in a
+// canonical per-level order — so the scores are bit-identical at any
+// Workers count and any batch width, and bit-exactly
 // pinned by the canonical serial oracle in msbfs_oracle_test.go. The
 // canonical summation order differs from the per-source queue order the
 // preserved persource.go path uses, so these scores match that path only
@@ -128,25 +88,18 @@ func NodeBetweenness(g *graph.Graph, opt Options) []float64 {
 // This is the cheapest edge-betweenness entry point — no wrapper, no
 // edge-keyed map — and the scorer behind CRR Phase 1. Like
 // NodeBetweenness it runs on the batched MS-BFS engine: scores are
-// bit-identical at any Workers × Batch combination, pinned by the
+// bit-identical at any Workers count and batch width, pinned by the
 // canonical serial edge oracle in msbfs_oracle_test.go.
 func EdgeBetweennessScores(g *graph.Graph, opt Options) []float64 {
 	_, edges := msbfsBetweenness(g, opt, false, true)
 	return edges
 }
 
-// EdgeBetweenness returns per-edge betweenness centrality wrapped in an
-// EdgeScores whose Of answers lookups via the CSR's binary search. Callers
-// that work with edge ids should prefer EdgeBetweennessScores.
-func EdgeBetweenness(g *graph.Graph, opt Options) *EdgeScores {
-	return &EdgeScores{g: g, Scores: EdgeBetweennessScores(g, opt)}
-}
-
 // Betweenness computes node and edge betweenness in a single pass over
 // sources — one traversal, one backward sweep and one fold feed both
 // accumulators — cheaper than computing them separately. The edge slice is
 // aligned with g.Edges(). Both halves carry the engine's bit-determinism
-// guarantee at any Workers × Batch.
+// guarantee at any Workers count and batch width.
 func Betweenness(g *graph.Graph, opt Options) ([]float64, []float64) {
 	return msbfsBetweenness(g, opt, true, true)
 }

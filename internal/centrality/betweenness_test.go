@@ -2,6 +2,7 @@ package centrality
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -26,12 +27,13 @@ func TestNodeBetweennessPath(t *testing.T) {
 
 func TestEdgeBetweennessPath(t *testing.T) {
 	g := gen.Path(5)
-	es := EdgeBetweenness(g, Options{})
+	scores := EdgeBetweennessScores(g, Options{})
+	c := g.CSR()
 	want := map[graph.Edge]float64{
 		{U: 0, V: 1}: 4, {U: 1, V: 2}: 6, {U: 2, V: 3}: 6, {U: 3, V: 4}: 4,
 	}
 	for e, w := range want {
-		if got := es.Of(e); !approx(got, w) {
+		if got := scores[c.EdgeIDOf(e.U, e.V)]; !approx(got, w) {
 			t.Errorf("edge %v: got %v, want %v", e, got, w)
 		}
 	}
@@ -131,7 +133,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestSampledApproximatesExact(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 23)
-	exact := EdgeBetweenness(g, Options{})
+	exact := EdgeBetweennessScores(g, Options{})
 	// The sampled estimator should identify most of the exact top decile.
 	// A single draw hovers around the threshold (any one seed can be
 	// unlucky), so average the overlap across several sampling seeds.
@@ -148,12 +150,11 @@ func TestSampledApproximatesExact(t *testing.T) {
 		}
 		return set
 	}
-	te := top(exact.Scores)
+	te := top(exact)
 	var fracSum float64
 	const draws = 5
 	for seed := int64(1); seed <= draws; seed++ {
-		sampled := EdgeBetweenness(g, Options{Samples: 150, Seed: seed})
-		ts := top(sampled.Scores)
+		ts := top(EdgeBetweennessScores(g, Options{Samples: 150, Seed: seed}))
 		inter := 0
 		for i := range te {
 			if _, ok := ts[i]; ok {
@@ -164,6 +165,24 @@ func TestSampledApproximatesExact(t *testing.T) {
 	}
 	if frac := fracSum / draws; frac < 0.55 {
 		t.Errorf("mean sampled top-10%% overlap with exact = %.2f, want >= 0.55", frac)
+	}
+}
+
+// TestSampledEdgeBetweennessSizesRowsToSources pins the derived batch
+// width where CRR runs: 16 samples spread over 16 shards leave one source
+// per shard, so each batch is 1 wide, and the whole sampled pass must
+// allocate less than 64-wide sigma/delta rows alone would (2·8·64·|V|
+// bytes at one worker).
+func TestSampledEdgeBetweennessSizesRowsToSources(t *testing.T) {
+	g := gen.BarabasiAlbert(20000, 3, 41)
+	g.CSR()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	EdgeBetweennessScores(g, Options{Samples: 16, Seed: 1, Workers: 1})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if wide := uint64(2 * 8 * 64 * g.NumNodes()); got >= wide {
+		t.Fatalf("16-sample edge betweenness allocated %d bytes, want < %d (64-wide rows)", got, wide)
 	}
 }
 
@@ -178,46 +197,60 @@ func TestSamplesGEnIsExact(t *testing.T) {
 	}
 }
 
+// edgeScoreOf looks up the score of e in scores by CSR edge id. A foreign
+// edge or an out-of-range endpoint yields EdgeIDOf = -1, so the lookup
+// panics rather than returning another edge's score.
+func edgeScoreOf(g *graph.Graph, scores []float64, e graph.Edge) float64 {
+	return scores[g.CSR().EdgeIDOf(e.U, e.V)]
+}
+
 func TestEdgeScoresOfPanicsOnForeignEdge(t *testing.T) {
 	g := gen.Path(3)
-	es := EdgeBetweenness(g, Options{})
-	if got := es.Of(graph.Edge{U: 1, V: 0}); !approx(got, 2) {
-		t.Errorf("Of reversed edge = %v, want 2", got)
+	scores := EdgeBetweennessScores(g, Options{})
+	if got := edgeScoreOf(g, scores, graph.Edge{U: 1, V: 0}); !approx(got, 2) {
+		t.Errorf("score of reversed edge = %v, want 2", got)
+	}
+	if id := g.CSR().EdgeIDOf(0, 2); id != -1 {
+		t.Errorf("EdgeIDOf(foreign edge) = %d, want -1", id)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Of(foreign edge) did not panic")
+			t.Error("score lookup of foreign edge did not panic")
 		}
 	}()
-	es.Of(graph.Edge{U: 0, V: 2})
+	edgeScoreOf(g, scores, graph.Edge{U: 0, V: 2})
 }
 
-// TestEdgeScoresOfMatchesMapIndex pins the CSR binary-search Of against the
-// seed edge-keyed map it replaced: for every edge in both orientations, the
-// looked-up score must be the exact Scores element the map would have
-// returned — and out-of-range endpoints must panic rather than misindex.
+// TestEdgeScoresOfMatchesMapIndex pins the edge-keyed lookup of the flat
+// scores against the seed edge-keyed map it replaced: for every edge in both
+// orientations, scores[CSR().EdgeIDOf(u, v)] must be the exact element the
+// map would have returned, and out-of-range endpoints must miss (id -1) and
+// panic rather than misindex.
 func TestEdgeScoresOfMatchesMapIndex(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 23)
-	es := EdgeBetweenness(g, Options{Workers: 1})
+	scores := EdgeBetweennessScores(g, Options{Workers: 1})
 	idx := edgeIndex(g)
 	for _, e := range g.Edges() {
-		want := es.Scores[idx[e]]
-		if got := es.Of(e); got != want {
-			t.Fatalf("Of(%v) = %v, want %v", e, got, want)
+		want := scores[idx[e]]
+		if got := edgeScoreOf(g, scores, e); got != want {
+			t.Fatalf("score of %v = %v, want %v", e, got, want)
 		}
 		rev := graph.Edge{U: e.V, V: e.U}
-		if got := es.Of(rev); got != want {
-			t.Fatalf("Of(%v) (reversed) = %v, want %v", rev, got, want)
+		if got := edgeScoreOf(g, scores, rev); got != want {
+			t.Fatalf("score of %v (reversed) = %v, want %v", rev, got, want)
 		}
 	}
 	for _, bad := range []graph.Edge{{U: -1, V: 0}, {U: 0, V: 150}, {U: 3, V: 3}} {
+		if id := g.CSR().EdgeIDOf(bad.U, bad.V); id != -1 {
+			t.Errorf("EdgeIDOf(%v) = %d, want -1", bad, id)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Of(%v) did not panic", bad)
+					t.Errorf("score lookup of %v did not panic", bad)
 				}
 			}()
-			es.Of(bad)
+			edgeScoreOf(g, scores, bad)
 		}()
 	}
 }

@@ -23,7 +23,16 @@ package centrality
 // are grouped into batches — and the per-shard folds add each source's
 // contribution to a node (or a canonical edge id) in shard-source order
 // whatever the batch width, so both score arrays are bit-identical at any
-// Workers count AND any Batch width.
+// Workers count AND any batch width.
+//
+// Width. The sigma/delta rows cost 16 bytes per (node, bit) per worker,
+// live or not, so the driver sizes the batch to the sources it has: every
+// shard runs at width min(msbfs.MaxWidth, ceil(sources/shards)), the
+// largest shard's source count capped at one word. Exact runs (|V|/16
+// sources per shard) keep the full 64-wide word; a sampled run keeps the
+// same batch count as at width 64 (one batch per shard up to 1024
+// samples) but carries no dead bits — 64 samples run 4 wide, 16 run 1
+// wide. The width never reaches the scores (above), so no caller sets it.
 //
 // Edge dependencies need one extra care the node fold does not: a
 // dependency crosses a specific DAG edge, and which direction an undirected
@@ -61,7 +70,7 @@ import (
 // the triangle inequality a node's levels across a batch spread at most the
 // batch's diameter, which means fewer level memberships per node, fewer
 // adjacency rescans in the sigma/delta sweeps, and denser crossing masks
-// per scan. The rank is a pure function of the graph — no Workers, Batch or
+// per scan. The rank is a pure function of the graph — no Workers, width or
 // Samples input — so the ordering never threatens the determinism
 // discipline; it only decides which sources travel together.
 func orderSourcesByLocality(c *graph.CSR, srcs []graph.NodeID) {
@@ -493,11 +502,8 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	}
 	c := g.CSR()
 	orderSourcesByLocality(c, srcs)
-	width := msbfs.Width(opt.Batch)
-	shards := par.Shards
-	if shards > len(srcs) {
-		shards = len(srcs)
-	}
+	shards := min(par.Shards, len(srcs))
+	width := min(msbfs.MaxWidth, (len(srcs)+shards-1)/shards)
 	workers := par.Workers(opt.Workers, shards)
 	sp := opt.Obs.Start("betweenness")
 	defer sp.End()

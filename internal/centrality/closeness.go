@@ -18,7 +18,7 @@ import (
 // where r is the size of u's reachable set. Isolated nodes score 0.
 //
 // The computation runs the bit-parallel MS-BFS engine over pivot sources:
-// every traversal carries up to 64 sources (Options.Batch bits wide), and
+// every traversal carries up to 64 sources (one full word per node), and
 // each level's arrivals fold into per-TARGET reach counts and distance sums
 // by popcount — undirected distances are symmetric, so d(pivot, u) counted
 // at u estimates u's own outgoing sum. With Samples == 0 (or >= |V|) every
@@ -30,10 +30,12 @@ import (
 // estimator variance; nodes no pivot reaches score 0.
 //
 // All accumulation is integer (exact in any order), so the scores are
-// bit-identical at any Workers count and any Batch width. Obs — when set —
-// reports a "closeness" span with per-worker busy time, batch unit
-// progress, a "closeness.sources_done" counter and the engine's msbfs.*
-// counters.
+// bit-identical at any Workers count and any batch width. The batch is
+// always the full msbfs.MaxWidth word: the per-node state is popcounted
+// words with no per-bit rows, so a narrower batch only adds traversals.
+// Obs — when set — reports a "closeness" span with per-worker busy time,
+// batch unit progress, a "closeness.sources_done" counter and the engine's
+// msbfs.* counters.
 func Closeness(g *graph.Graph, opt Options) []float64 {
 	n := g.NumNodes()
 	scores := make([]float64, n)
@@ -42,7 +44,7 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 	}
 	srcs, scale := opt.sources(n)
 	c := g.CSR()
-	width := msbfs.Width(opt.Batch)
+	const width = msbfs.MaxWidth
 	numBatches := (len(srcs) + width - 1) / width
 	workers := par.Workers(opt.Workers, numBatches)
 	sp := opt.Obs.Start("closeness")

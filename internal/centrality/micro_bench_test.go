@@ -19,7 +19,7 @@ func BenchmarkEdgeBetweennessExact(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeBetweenness(g, Options{})
+		EdgeBetweennessScores(g, Options{})
 	}
 }
 
@@ -27,34 +27,18 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 	g := gen.BarabasiAlbert(5000, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeBetweenness(g, Options{Samples: 128, Seed: 2})
+		EdgeBetweennessScores(g, Options{Samples: 128, Seed: 2})
 	}
 }
 
-// The MapIndexed/CSRIndexed pair tracks production against the seed
-// map-indexed implementation: same BA graph and scale as
-// BenchmarkEdgeBetweennessExact, single worker so the comparison measures
-// the kernels rather than scheduling. CSRIndexed is whatever the public
-// entry point runs — today the batched MS-BFS engine — so this pair is the
-// cumulative production-vs-seed speedup, while the PerSource/MSBFS pairs
-// below isolate the batching win alone.
-
-func BenchmarkEdgeBetweennessMapIndexed(b *testing.B) {
-	g := gen.BarabasiAlbert(1000, 3, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oracleBoth(g, Options{Workers: 1}, false, true)
-	}
-}
-
-func BenchmarkEdgeBetweennessCSRIndexed(b *testing.B) {
-	g := gen.BarabasiAlbert(1000, 3, 1)
-	g.CSR() // build outside the timer, as MapIndexed gets adj for free
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EdgeBetweennessScores(g, Options{Workers: 1})
-	}
-}
+// The MapIndexed/CSRIndexed pair tracks production node betweenness
+// against the seed map-indexed implementation: single worker so the
+// comparison measures the kernels rather than scheduling. CSRIndexed is
+// whatever the public entry point runs — today the batched MS-BFS engine —
+// so this pair is the cumulative production-vs-seed speedup, while the
+// PerSource/MSBFS pairs below isolate the batching win alone. Edge
+// betweenness, the CRR Phase 1 scorer, is measured end to end by
+// perfbench's centrality.betweenness_s layer instead.
 
 func BenchmarkNodeBetweennessMapIndexed(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 3, 1)

@@ -2,7 +2,7 @@ package centrality
 
 // Oracles and property tests for the MS-BFS kernels (Closeness,
 // NodeBetweenness and the edge-dependency path behind
-// EdgeBetweenness/Betweenness):
+// EdgeBetweennessScores/Betweenness):
 //
 //   - closenessPerSource preserves the replaced one-BFS-per-node closeness
 //     loop; the MS-BFS pivot accumulation reproduces it bit for bit in
@@ -13,8 +13,8 @@ package centrality
 //     dependencies node-outer/bit-inner, and edge dependencies one term
 //     per (source, edge) — sigma(pred)·coeff(succ), succ the endpoint one
 //     level deeper — folded per edge in shard-source order. The production
-//     path must match it bit for bit at every worker count and batch
-//     width.
+//     path must match it bit for bit at every worker count and at every
+//     batch width its source count derives.
 //   - the seed map oracle (oracle_test.go) sums per-source dependencies in
 //     queue order instead, so the MS-BFS scores match it only to float
 //     tolerance — that cross-check bounds the reordering drift.
@@ -170,7 +170,7 @@ func canonicalBrandesSource(c *graph.CSR, src graph.NodeID, dist []int32, sigma,
 // selection, same fixed shard assignment and in-order per-shard
 // accumulation, same shard-order merge and scaling, over the canonical
 // per-source pass above. Its node and edge results must equal the
-// production path bit for bit at any Workers count and any Batch width.
+// production path bit for bit at any Workers count and any batch width.
 func canonicalBetweenness(g *graph.Graph, opt Options) ([]float64, []float64) {
 	n := g.NumNodes()
 	nodes := make([]float64, n)
@@ -232,6 +232,7 @@ func propertyGraphs() []struct {
 		{"BA", gen.BarabasiAlbert(250, 3, 7)},
 		{"ER", gen.ErdosRenyi(250, 700, 11)},
 		{"WS", gen.WattsStrogatz(250, 6, 0.1, 13)},
+		{"BA-1200", gen.BarabasiAlbert(1200, 3, 19)},
 		{"Disconnected", graph.MustFromEdges(80, []graph.Edge{
 			{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 10, V: 11},
 			{U: 20, V: 21}, {U: 21, V: 22}, {U: 22, V: 23},
@@ -239,25 +240,28 @@ func propertyGraphs() []struct {
 	}
 }
 
+// propertyConfigs are the Workers and Samples axes of the batched Brandes
+// property tests. The kernel derives its batch width from the source
+// count, min(64, ceil(sources/16)), so 16, 30, 60 and 1100 samples run it
+// 1, 2, 4 and 64 wide — the last on BA-1200 only, two batches per shard;
+// on the smaller graphs 1100 samples means exact, 5 to 16 wide.
 var propertyConfigs = struct {
 	workers []int
-	batches []int
-}{[]int{1, 2, 4, 7}, []int{1, 8, 64}}
+	samples []int
+}{[]int{1, 2, 4, 7}, []int{16, 30, 60, 1100}}
 
 // TestClosenessBitIdenticalToPerSourceOracle is the migration property
 // test: exact-mode MS-BFS closeness must reproduce the replaced per-source
-// kernel bit for bit across graphs, worker counts and batch widths.
+// kernel bit for bit across graphs and worker counts.
 func TestClosenessBitIdenticalToPerSourceOracle(t *testing.T) {
 	for _, tg := range propertyGraphs() {
 		want := closenessPerSource(tg.g)
 		for _, workers := range propertyConfigs.workers {
-			for _, batch := range propertyConfigs.batches {
-				got := Closeness(tg.g, Options{Workers: workers, Batch: batch})
-				for u := range want {
-					if got[u] != want[u] {
-						t.Fatalf("%s workers=%d batch=%d node %d: %v != oracle %v",
-							tg.name, workers, batch, u, got[u], want[u])
-					}
+			got := Closeness(tg.g, Options{Workers: workers})
+			for u := range want {
+				if got[u] != want[u] {
+					t.Fatalf("%s workers=%d node %d: %v != oracle %v",
+						tg.name, workers, u, got[u], want[u])
 				}
 			}
 		}
@@ -265,23 +269,20 @@ func TestClosenessBitIdenticalToPerSourceOracle(t *testing.T) {
 }
 
 // TestClosenessSampledDeterministicAndSane: the sampled estimator is
-// bit-identical across worker counts and batch widths, oversampling
-// degenerates to the exact bits, and on a connected graph the estimate
-// lands near the exact score.
+// bit-identical across worker counts, oversampling degenerates to the
+// exact bits, and on a connected graph the estimate lands near the exact
+// score.
 func TestClosenessSampledDeterministicAndSane(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 5)
-	opt := Options{Samples: 128, Seed: 9, Workers: 1, Batch: 64}
+	opt := Options{Samples: 128, Seed: 9, Workers: 1}
 	want := Closeness(g, opt)
 	for _, workers := range propertyConfigs.workers {
-		for _, batch := range propertyConfigs.batches {
-			o := opt
-			o.Workers = workers
-			o.Batch = batch
-			got := Closeness(g, o)
-			for u := range want {
-				if got[u] != want[u] {
-					t.Fatalf("workers=%d batch=%d node %d: %v != %v", workers, batch, u, got[u], want[u])
-				}
+		o := opt
+		o.Workers = workers
+		got := Closeness(g, o)
+		for u := range want {
+			if got[u] != want[u] {
+				t.Fatalf("workers=%d node %d: %v != %v", workers, u, got[u], want[u])
 			}
 		}
 	}
@@ -304,30 +305,18 @@ func TestClosenessSampledDeterministicAndSane(t *testing.T) {
 
 // TestNodeBetweennessBitIdenticalToCanonicalOracle pins the batched Brandes
 // path to its canonical serial oracle bit for bit, exact and sampled,
-// across graphs, worker counts and batch widths — the any-worker-count,
-// any-batch-width determinism guarantee.
+// across graphs, worker counts and the batch widths the sample counts
+// derive — the any-worker-count, any-batch-width determinism guarantee.
 func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
-	modes := []struct {
-		name string
-		opt  Options
-	}{
-		{"exact", Options{}},
-		{"sampled", Options{Samples: 60, Seed: 3}},
-	}
 	for _, tg := range propertyGraphs() {
-		for _, mode := range modes {
-			want, _ := canonicalBetweenness(tg.g, mode.opt)
+		for _, samples := range propertyConfigs.samples {
+			want, _ := canonicalBetweenness(tg.g, Options{Samples: samples, Seed: 3})
 			for _, workers := range propertyConfigs.workers {
-				for _, batch := range propertyConfigs.batches {
-					opt := mode.opt
-					opt.Workers = workers
-					opt.Batch = batch
-					got := NodeBetweenness(tg.g, opt)
-					for u := range want {
-						if got[u] != want[u] {
-							t.Fatalf("%s/%s workers=%d batch=%d node %d: %v != oracle %v",
-								tg.name, mode.name, workers, batch, u, got[u], want[u])
-						}
+				got := NodeBetweenness(tg.g, Options{Samples: samples, Seed: 3, Workers: workers})
+				for u := range want {
+					if got[u] != want[u] {
+						t.Fatalf("%s samples=%d workers=%d node %d: %v != oracle %v",
+							tg.name, samples, workers, u, got[u], want[u])
 					}
 				}
 			}
@@ -338,44 +327,33 @@ func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
 // TestEdgeBetweennessBitIdenticalToCanonicalOracle is the tentpole property
 // of the edge-dependency path: EdgeBetweennessScores and both halves of the
 // combined Betweenness must reproduce the canonical serial oracle bit for
-// bit, exact and sampled, across graphs, worker counts and batch widths —
-// proof that the slot-mask fold's summation tree is a function of (graph,
-// Options) alone.
+// bit, exact and sampled, across graphs, worker counts and the batch
+// widths the sample counts derive — proof that the slot-mask fold's
+// summation tree is a function of (graph, Options) alone.
 func TestEdgeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
-	modes := []struct {
-		name string
-		opt  Options
-	}{
-		{"exact", Options{}},
-		{"sampled", Options{Samples: 60, Seed: 3}},
-	}
 	for _, tg := range propertyGraphs() {
-		for _, mode := range modes {
-			wantN, wantE := canonicalBetweenness(tg.g, mode.opt)
+		for _, samples := range propertyConfigs.samples {
+			wantN, wantE := canonicalBetweenness(tg.g, Options{Samples: samples, Seed: 3})
 			for _, workers := range propertyConfigs.workers {
-				for _, batch := range propertyConfigs.batches {
-					opt := mode.opt
-					opt.Workers = workers
-					opt.Batch = batch
-					gotE := EdgeBetweennessScores(tg.g, opt)
-					for i := range wantE {
-						if gotE[i] != wantE[i] {
-							t.Fatalf("%s/%s workers=%d batch=%d edge %d %v: %v != oracle %v",
-								tg.name, mode.name, workers, batch, i, tg.g.Edges()[i], gotE[i], wantE[i])
-						}
+				opt := Options{Samples: samples, Seed: 3, Workers: workers}
+				gotE := EdgeBetweennessScores(tg.g, opt)
+				for i := range wantE {
+					if gotE[i] != wantE[i] {
+						t.Fatalf("%s samples=%d workers=%d edge %d %v: %v != oracle %v",
+							tg.name, samples, workers, i, tg.g.Edges()[i], gotE[i], wantE[i])
 					}
-					bothN, bothE := Betweenness(tg.g, opt)
-					for u := range wantN {
-						if bothN[u] != wantN[u] {
-							t.Fatalf("%s/%s workers=%d batch=%d Betweenness node %d: %v != oracle %v",
-								tg.name, mode.name, workers, batch, u, bothN[u], wantN[u])
-						}
+				}
+				bothN, bothE := Betweenness(tg.g, opt)
+				for u := range wantN {
+					if bothN[u] != wantN[u] {
+						t.Fatalf("%s samples=%d workers=%d Betweenness node %d: %v != oracle %v",
+							tg.name, samples, workers, u, bothN[u], wantN[u])
 					}
-					for i := range wantE {
-						if bothE[i] != wantE[i] {
-							t.Fatalf("%s/%s workers=%d batch=%d Betweenness edge %d: %v != oracle %v",
-								tg.name, mode.name, workers, batch, i, bothE[i], wantE[i])
-						}
+				}
+				for i := range wantE {
+					if bothE[i] != wantE[i] {
+						t.Fatalf("%s samples=%d workers=%d Betweenness edge %d: %v != oracle %v",
+							tg.name, samples, workers, i, bothE[i], wantE[i])
 					}
 				}
 			}
@@ -410,44 +388,17 @@ func TestBetweennessNearSeedOracle(t *testing.T) {
 	}
 }
 
-// TestBatchClampedToEngineWidth pins the documented Batch handling: zero,
-// negative and over-wide values all select the engine's full 64-bit word,
-// bit-identically — the same absorb-out-of-range convention Samples and
-// Workers follow.
-func TestBatchClampedToEngineWidth(t *testing.T) {
-	g := gen.BarabasiAlbert(200, 3, 17)
-	opt := Options{Samples: 50, Seed: 7, Workers: 2}
-	canonN, canonE := Betweenness(g, opt) // Batch: 0 → full width
-	for _, batch := range []int{-5, 64, 200} {
-		o := opt
-		o.Batch = batch
-		gotN, gotE := Betweenness(g, o)
-		for u := range canonN {
-			if gotN[u] != canonN[u] {
-				t.Fatalf("Batch=%d node %d: %v != Batch=0 %v", batch, u, gotN[u], canonN[u])
-			}
-		}
-		for i := range canonE {
-			if gotE[i] != canonE[i] {
-				t.Fatalf("Batch=%d edge %d: %v != Batch=0 %v", batch, i, gotE[i], canonE[i])
-			}
-		}
-		if got := Closeness(g, o); got[0] != Closeness(g, opt)[0] {
-			t.Fatalf("Batch=%d closeness drifted: %v != %v", batch, got[0], Closeness(g, opt)[0])
-		}
-	}
-}
-
 // TestMSBFSKernelsBitIdenticalWithObs pins the instrumentation
 // non-perturbation guarantee for the MS-BFS kernels: a live recorder — with
-// the flight recorder installed as the par slot observer, the full PR-9
-// surface — must not change one output bit at any Workers × Batch, and the
-// msbfs.* counters, histograms and flight rings must actually move.
+// the flight recorder installed as the par slot observer — must not change
+// one output bit at any Workers or Samples (16 samples run batched Brandes
+// 1 wide, 80 run it 5 wide), and the msbfs.* counters, histograms and
+// flight rings must actually move.
 func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 11)
 	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{1, 64} {
-			opt := Options{Samples: 80, Seed: 5, Workers: workers, Batch: batch}
+		for _, samples := range []int{16, 80} {
+			opt := Options{Samples: samples, Seed: 5, Workers: workers}
 			wantC := Closeness(g, opt)
 			wantB := NodeBetweenness(g, opt)
 			wantE := EdgeBetweennessScores(g, opt)
@@ -462,15 +413,15 @@ func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 			rec.Root().End()
 			for u := range wantC {
 				if gotC[u] != wantC[u] {
-					t.Fatalf("workers=%d batch=%d closeness node %d: %v with obs != %v", workers, batch, u, gotC[u], wantC[u])
+					t.Fatalf("workers=%d samples=%d closeness node %d: %v with obs != %v", workers, samples, u, gotC[u], wantC[u])
 				}
 				if gotB[u] != wantB[u] {
-					t.Fatalf("workers=%d batch=%d betweenness node %d: %v with obs != %v", workers, batch, u, gotB[u], wantB[u])
+					t.Fatalf("workers=%d samples=%d betweenness node %d: %v with obs != %v", workers, samples, u, gotB[u], wantB[u])
 				}
 			}
 			for i := range wantE {
 				if gotE[i] != wantE[i] {
-					t.Fatalf("workers=%d batch=%d edge betweenness %d: %v with obs != %v", workers, batch, i, gotE[i], wantE[i])
+					t.Fatalf("workers=%d samples=%d edge betweenness %d: %v with obs != %v", workers, samples, i, gotE[i], wantE[i])
 				}
 			}
 			vals := rec.CounterValues()
@@ -480,17 +431,17 @@ func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 				"brandes.edge_folds",
 			} {
 				if vals[name] == 0 {
-					t.Fatalf("workers=%d batch=%d: counter %q missing or zero: %v", workers, batch, name, vals)
+					t.Fatalf("workers=%d samples=%d: counter %q missing or zero: %v", workers, samples, name, vals)
 				}
 			}
 			hists := rec.HistogramValues()
 			for _, name := range []string{"msbfs.batch_ns", "msbfs.batch_occupancy", "msbfs.level_width"} {
 				if hists[name] == nil || hists[name].Count == 0 {
-					t.Fatalf("workers=%d batch=%d: histogram %q missing or empty: %v", workers, batch, name, hists)
+					t.Fatalf("workers=%d samples=%d: histogram %q missing or empty: %v", workers, samples, name, hists)
 				}
 			}
 			if len(rec.Flight().Events()) == 0 {
-				t.Fatalf("workers=%d batch=%d: flight ring stayed empty", workers, batch)
+				t.Fatalf("workers=%d samples=%d: flight ring stayed empty", workers, samples)
 			}
 		}
 	}

@@ -2,14 +2,14 @@ package centrality
 
 // The preserved per-source Brandes path: one BFS per source over the CSR
 // view, flat predecessor bookkeeping, sharded accumulation. This was the
-// production driver behind Betweenness/EdgeBetweenness until the batched
-// MS-BFS engine (brandes_msbfs.go) took over, and it is kept — not as dead
-// code — for three jobs:
+// production driver behind Betweenness/EdgeBetweennessScores until the
+// batched MS-BFS engine (brandes_msbfs.go) took over, and it is kept — not
+// as dead code — for three jobs:
 //
 //   - oracle: the per-source queue order is the seed algorithm's order, so
 //     oracle_test.go pins it bit-exactly against the seed map-based oracle
 //     and the MS-BFS path against it within float tolerance;
-//   - benchmark baseline: the EdgeBetweennessPerSource/MSBFS and
+//   - benchmark baseline: the EdgeBetweennessScoresPerSource/MSBFS and
 //     CRRReduceExactPerSource/MSBFS speedup pairs (micro_bench_test.go,
 //     internal/core) measure the batched engine against exactly this code;
 //   - escape hatch: a scalar reference implementation with no per-(node,
@@ -171,7 +171,6 @@ func (st *brandesState) run(c *graph.CSR, s graph.NodeID, nodeAcc, edgeAcc []flo
 // traversal state, and the per-shard partial sums merge in shard index
 // order. The summation tree is then a function of (graph, Options) alone —
 // the worker count only changes which goroutine happens to own a shard.
-// (Options.Batch does not apply here: every source runs its own BFS.)
 func both(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([]float64, []float64) {
 	n := g.NumNodes()
 	var nodes, edges []float64

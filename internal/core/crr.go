@@ -65,9 +65,10 @@ type CRR struct {
 	Importance Importance
 	// Betweenness configures the Phase 1 centrality computation (used only
 	// with ImportanceBetweenness); the zero value is exact Brandes on all
-	// sources, batched 64 wide on the MS-BFS engine. Its Workers and Batch
-	// fields are performance knobs only — the scores, and therefore the
-	// reduction, are bit-identical at any setting.
+	// sources, batched 64 wide on the MS-BFS engine (sampled runs batch
+	// narrower, to their per-shard source count). Its Workers field is a
+	// performance knob only — the scores, and therefore the reduction, are
+	// bit-identical at any setting.
 	Betweenness centrality.Options
 	// Seed drives tie-breaking of equal-importance edges ("edges of the
 	// same importance are selected randomly") and the Phase 2 edge picks.

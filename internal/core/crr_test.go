@@ -392,41 +392,43 @@ func TestCRRSweepBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestCRRReduceBitIdenticalAcrossWorkersAndBatch pins the end-to-end CRR
 // determinism contract on the batched MS-BFS Phase 1: the kept edge set is a
-// function of (graph, p, Seed, Steps) alone, so any Workers count and any
-// MS-BFS Batch width of the betweenness kernel must reproduce the baseline
-// reduction edge for edge — the knobs regroup Phase 1's traversals without
-// moving one score bit, so the ranking, tie-breaks and Phase 2 rng stream
-// are untouched.
+// function of (graph, p, Seed, Steps, Samples) alone, so any Workers count
+// must reproduce the one-worker reduction edge for edge at every batch
+// width the kernel derives from its source count — 16, 30, 60 and all 1100
+// sources run it 1, 2, 4 and 64 wide. Workers regroup Phase 1's traversals
+// without moving one score bit, so the ranking, tie-breaks and Phase 2 rng
+// stream are untouched.
 func TestCRRReduceBitIdenticalAcrossWorkersAndBatch(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, 31)
-	base := CRR{Seed: 5, Steps: 200}
-	want, err := base.Reduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEdges := want.Reduced.Edges()
-	for _, workers := range []int{1, 2, 4, 7} {
-		for _, batch := range []int{1, 8, 64} {
+	g := gen.BarabasiAlbert(1100, 3, 31)
+	for _, samples := range []int{16, 30, 60, 0} {
+		base := CRR{Seed: 5, Steps: 200,
+			Betweenness: centrality.Options{Samples: samples, Seed: 3, Workers: 1}}
+		want, err := base.Reduce(g, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEdges := want.Reduced.Edges()
+		for _, workers := range []int{2, 4, 7} {
 			c := base
-			c.Betweenness = centrality.Options{Workers: workers, Batch: batch}
+			c.Betweenness.Workers = workers
 			got, err := c.Reduce(g, 0.5)
 			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
+				t.Fatalf("samples=%d workers=%d: %v", samples, workers, err)
 			}
 			gotEdges := got.Reduced.Edges()
 			if len(gotEdges) != len(wantEdges) {
-				t.Fatalf("workers=%d batch=%d: |E'| = %d, want %d",
-					workers, batch, len(gotEdges), len(wantEdges))
+				t.Fatalf("samples=%d workers=%d: |E'| = %d, want %d",
+					samples, workers, len(gotEdges), len(wantEdges))
 			}
 			for i := range wantEdges {
 				if gotEdges[i] != wantEdges[i] {
-					t.Fatalf("workers=%d batch=%d: kept edge %d = %v, want %v",
-						workers, batch, i, gotEdges[i], wantEdges[i])
+					t.Fatalf("samples=%d workers=%d: kept edge %d = %v, want %v",
+						samples, workers, i, gotEdges[i], wantEdges[i])
 				}
 			}
 			if got.Delta() != want.Delta() {
-				t.Fatalf("workers=%d batch=%d: Δ = %v, want %v",
-					workers, batch, got.Delta(), want.Delta())
+				t.Fatalf("samples=%d workers=%d: Δ = %v, want %v",
+					samples, workers, got.Delta(), want.Delta())
 			}
 		}
 	}

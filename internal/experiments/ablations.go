@@ -140,7 +140,7 @@ func runAblationImportance(cfg Config) error {
 			res, rerr = core.CRR{
 				Seed:        cfg.Seed + 1,
 				Importance:  im,
-				Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch),
+				Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers),
 			}.Reduce(g, 0.3)
 			return rerr
 		})
@@ -161,7 +161,7 @@ func runAblationAdaptive(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	bopt := betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)
+	bopt := betweennessOptions(g, cfg.Seed+77, cfg.Workers)
 	tbl := newTable(
 		fmt.Sprintf("Ablation 7 (ca-HepPh stand-in, |V|=%d, p=0.5): CRR adaptive stop", g.NumNodes()),
 		"variant", "avg delta", "time (s)")
@@ -196,7 +196,7 @@ func runAblationRewiring(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	bopt := betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)
+	bopt := betweennessOptions(g, cfg.Seed+77, cfg.Workers)
 	tbl := newTable(
 		fmt.Sprintf("Ablation 5 (ca-GrQc stand-in, |V|=%d): CRR rewiring on/off", g.NumNodes()),
 		"p", "phase1-only delta", "full CRR delta", "improvement")

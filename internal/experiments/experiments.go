@@ -45,11 +45,6 @@ type Config struct {
 	// discipline, so measured values are identical at any worker count
 	// (timings, of course, are not).
 	Workers int
-	// Batch is the MS-BFS sources-per-batch width for the centrality
-	// kernels, 1..64; 0 or out of range selects the engine's full 64-wide
-	// word. Like Workers it is a performance knob only — measured values
-	// are identical at any width.
-	Batch int
 	// Progress, when non-nil, receives one printf-style line per completed
 	// unit of experiment work — a (dataset, p, method) cell, a figure
 	// series, a sweep point — so long sweeps show signs of life instead of
@@ -108,21 +103,21 @@ func (c Config) build(name string) (*graph.Graph, error) {
 // betweennessOptions picks exact Brandes for small graphs and source
 // sampling for larger ones, mirroring the paper's resource-constraint
 // premise.
-func betweennessOptions(g *graph.Graph, seed int64, workers, batch int) centrality.Options {
+func betweennessOptions(g *graph.Graph, seed int64, workers int) centrality.Options {
 	if g.NumNodes() <= 2048 {
-		return centrality.Options{Workers: workers, Batch: batch}
+		return centrality.Options{Workers: workers}
 	}
 	samples := 256
 	if g.NumNodes() < 8*samples {
 		samples = g.NumNodes() / 8
 	}
-	return centrality.Options{Samples: samples, Seed: seed, Workers: workers, Batch: batch}
+	return centrality.Options{Samples: samples, Seed: seed, Workers: workers}
 }
 
 // reducerSet returns the paper's three methods configured for graph g, in
 // table order (UDS, CRR, BM2). The UDS entry is nil when skipped.
 func (c Config) reducerSet(g *graph.Graph) []core.Reducer {
-	bopt := betweennessOptions(g, c.Seed+77, c.Workers, c.Batch)
+	bopt := betweennessOptions(g, c.Seed+77, c.Workers)
 	set := []core.Reducer{
 		nil,
 		core.CRR{Seed: c.Seed + 1, Betweenness: bopt, Workers: c.Workers},

@@ -81,8 +81,8 @@ func runBaselines(cfg Config) error {
 		return err
 	}
 	reducers := []core.Reducer{
-		core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)},
-		core.TargetedCRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)},
+		core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers)},
+		core.TargetedCRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers)},
 		core.BM2{},
 		core.Random{Seed: cfg.Seed + 2},
 		core.ForestFire{Seed: cfg.Seed + 3},
@@ -123,7 +123,7 @@ func runMemory(cfg Config) error {
 			fmt.Sprintf("Memory footprint (%s stand-in, |V|=%d |E|=%d, original %s)", name, g.NumNodes(), g.NumEdges(), fmtBytes(g.Bytes())),
 			"p", "CRR bytes", "CRR saving", "BM2 bytes", "BM2 saving")
 		for _, p := range []float64{0.5, 0.3, 0.1} {
-			crrRes, err := (core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)}).Reduce(g, p)
+			crrRes, err := (core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers)}).Reduce(g, p)
 			if err != nil {
 				return err
 			}

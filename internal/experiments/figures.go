@@ -30,7 +30,7 @@ func runFig4(cfg Config) error {
 				res, rerr = core.CRR{
 					Seed:        cfg.Seed + 1,
 					StepsFactor: x,
-					Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch),
+					Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers),
 				}.Reduce(g, 0.5)
 				return rerr
 			})
@@ -58,7 +58,7 @@ func runFig5ab(cfg Config) error {
 		fmt.Sprintf("Figure 5(a)-(b) (ca-GrQc stand-in, |V|=%d |E|=%d): error vs bound", g.NumNodes(), g.NumEdges()),
 		"p", "CRR err", "CRR bound", "BM2 err", "BM2 bound")
 	for _, p := range cfg.ps() {
-		crrRes, err := (core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)}).Reduce(g, p)
+		crrRes, err := (core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers)}).Reduce(g, p)
 		if err != nil {
 			return err
 		}
@@ -209,7 +209,7 @@ func runFig8(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		bopt := betweennessOptions(g, cfg.Seed+6, cfg.Workers, cfg.Batch)
+		bopt := betweennessOptions(g, cfg.Seed+6, cfg.Workers)
 		fmt.Fprintf(cfg.Out, "Figure 8: betweenness vs degree (%s stand-in, p=0.3), buckets deg 0..15\n", name)
 		origBC := analysis.MeanByDegree(g, centrality.NodeBetweenness(g, bopt))
 		if err := seriesLine(cfg.Out, "original", normalizeSeries(origBC), 16); err != nil {

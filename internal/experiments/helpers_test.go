@@ -8,11 +8,11 @@ import (
 
 func TestBetweennessOptionsSizing(t *testing.T) {
 	small := gen.Cycle(100)
-	if opt := betweennessOptions(small, 1, 0, 0); opt.Samples != 0 {
+	if opt := betweennessOptions(small, 1, 0); opt.Samples != 0 {
 		t.Errorf("small graph got sampled betweenness: %+v", opt)
 	}
 	big := gen.BarabasiAlbert(5000, 2, 1)
-	opt := betweennessOptions(big, 1, 0, 0)
+	opt := betweennessOptions(big, 1, 0)
 	if opt.Samples == 0 {
 		t.Error("large graph got exact betweenness")
 	}

@@ -33,7 +33,7 @@ func runNoise(cfg Config) error {
 			fmt.Sprintf("Noise filtering (ca-GrQc stand-in + %.0f%% spurious edges, shed to p=%.3f)", 100*noiseFrac, p),
 			"method", "noise shed", "noise kept", "recall", "precision vs chance")
 		reducers := []core.Reducer{
-			core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(noisy, cfg.Seed+77, cfg.Workers, cfg.Batch)},
+			core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(noisy, cfg.Seed+77, cfg.Workers)},
 			core.BM2{},
 			core.Random{Seed: cfg.Seed + 2},
 		}
@@ -100,7 +100,7 @@ func runAblationUDSCap(cfg Config) error {
 			sum, rerr = uds.Summarizer{
 				Tau:                  0.3,
 				MaxCandidatesPerNode: cap,
-				Betweenness:          betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch),
+				Betweenness:          betweennessOptions(g, cfg.Seed+77, cfg.Workers),
 			}.Summarize(g)
 			return rerr
 		})

@@ -70,7 +70,7 @@ func heavyTasks() []taskSpec {
 			return nil
 		}},
 		{"Betweenness", func(cfg Config, g *graph.Graph) error {
-			centrality.NodeBetweenness(g, betweennessOptions(g, cfg.Seed+6, cfg.Workers, cfg.Batch))
+			centrality.NodeBetweenness(g, betweennessOptions(g, cfg.Seed+6, cfg.Workers))
 			return nil
 		}},
 		{"Hop-plot", func(cfg Config, g *graph.Graph) error {
