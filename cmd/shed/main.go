@@ -11,10 +11,10 @@
 // the theorem bound) are printed to stderr, and -stats-json
 // writes them machine-readable. The shared observability flags (-metrics,
 // -profile, -trace, -quiet, -v, -log-json) capture a JSON run manifest,
-// runtime profiles and execution traces; -debug-addr additionally serves
-// the run's live counters, span progress and pprof handlers over HTTP for
-// the run's duration, and -sample-interval records a runtime timeline
-// into the manifest. See internal/obs and DESIGN.md §8.
+// runtime profiles and an execution trace whose tasks are the run's phase
+// spans (view it with go tool trace); -debug-addr additionally serves the
+// run's live counters, span progress and pprof handlers over HTTP for the
+// run's duration. See internal/obs and DESIGN.md §8.
 package main
 
 import (

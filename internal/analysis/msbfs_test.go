@@ -11,7 +11,6 @@ import (
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/obs"
-	"edgeshed/internal/par"
 )
 
 func profilesEqual(t *testing.T, label string, got, want *DistanceProfile) {
@@ -70,11 +69,9 @@ func TestProfileBitIdenticalWithObs(t *testing.T) {
 			opt := ProfileOptions{Sources: sources, Seed: 5, Workers: workers}
 			want := NewDistanceProfile(g, opt)
 			rec := obs.New("test")
-			prev := par.SetSlotObserver(rec.Flight())
 			o := opt
 			o.Obs = rec.Root()
 			got := NewDistanceProfile(g, o)
-			par.SetSlotObserver(prev)
 			rec.Root().End()
 			profilesEqual(t, "obs", got, want)
 			vals := rec.CounterValues()

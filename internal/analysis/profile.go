@@ -90,8 +90,6 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 	batchNs := sp.Histogram("msbfs.batch_ns")
 	batchOcc := sp.Histogram("msbfs.batch_occupancy")
 	levelWidth := sp.Histogram("msbfs.level_width")
-	batchMk := sp.Marker(obs.EvBatch, "distance_profile")
-	switchMk := sp.Marker(obs.EvDirSwitch, "distance_profile")
 	type wstate struct {
 		counts   []int64
 		pairs    int64
@@ -104,15 +102,6 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 			t0 = time.Now()
 		}
 		tr := msbfs.New(c, width, false)
-		if sp.Enabled() {
-			tr.OnSwitch = func(level int, bottomUp bool) {
-				dir := int64(0)
-				if bottomUp {
-					dir = 1
-				}
-				switchMk.Emit(w, int64(level)<<1|dir)
-			}
-		}
 		var st wstate
 		var done int64
 		for bi := w; bi < numBatches; bi += workers {
@@ -123,7 +112,6 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 				tr.Run(srcs[lo:hi])
 				batchNs.ObserveAt(w, time.Since(b0).Nanoseconds())
 				batchOcc.ObserveAt(w, int64(hi-lo))
-				batchMk.Emit(w, int64(hi-lo))
 				for d := 0; d < tr.NumLevels(); d++ {
 					nodes, _ := tr.Level(d)
 					levelWidth.ObserveAt(w, int64(len(nodes)))

@@ -58,7 +58,6 @@ import (
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
-	"edgeshed/internal/obs"
 	"edgeshed/internal/par"
 )
 
@@ -515,8 +514,6 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	foldCtr := sp.Counter("brandes.edge_folds")
 	batchNs := sp.Histogram("msbfs.batch_ns")
 	batchOcc := sp.Histogram("msbfs.batch_occupancy")
-	batchMk := sp.Marker(obs.EvBatch, "betweenness")
-	switchMk := sp.Marker(obs.EvDirSwitch, "betweenness")
 	// Shard partials fold into the totals in shard order — the order that
 	// fixes the sums' bits — as soon as every earlier shard has folded, so
 	// only shards finished ahead of an unfinished one wait in memory (none
@@ -549,15 +546,6 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 		}
 		var done int64
 		st := newBatchedBrandes(c, width, wantEdges)
-		if sp.Enabled() {
-			st.tr.OnSwitch = func(level int, bottomUp bool) {
-				dir := int64(0)
-				if bottomUp {
-					dir = 1
-				}
-				switchMk.Emit(w, int64(level)<<1|dir)
-			}
-		}
 		for k := w; k < shards; k += workers {
 			var nodeAcc, edgeAcc []float64
 			if wantNodes {
@@ -575,7 +563,6 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 					st.run(shardSrcs[lo:hi], nodeAcc, edgeAcc)
 					batchNs.ObserveAt(w, time.Since(b0).Nanoseconds())
 					batchOcc.ObserveAt(w, int64(hi-lo))
-					batchMk.Emit(w, int64(hi-lo))
 				} else {
 					st.run(shardSrcs[lo:hi], nodeAcc, edgeAcc)
 				}

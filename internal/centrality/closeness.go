@@ -6,7 +6,6 @@ import (
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
-	"edgeshed/internal/obs"
 	"edgeshed/internal/par"
 )
 
@@ -57,8 +56,6 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 	batchNs := sp.Histogram("msbfs.batch_ns")
 	batchOcc := sp.Histogram("msbfs.batch_occupancy")
 	levelWidth := sp.Histogram("msbfs.level_width")
-	batchMk := sp.Marker(obs.EvBatch, "closeness")
-	switchMk := sp.Marker(obs.EvDirSwitch, "closeness")
 	// Per-worker partial reach counts and distance sums per target node;
 	// integer, so the merge below is exact in any order.
 	type partial struct {
@@ -71,15 +68,6 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 			t0 = time.Now()
 		}
 		tr := msbfs.New(c, width, false)
-		if sp.Enabled() {
-			tr.OnSwitch = func(level int, bottomUp bool) {
-				dir := int64(0)
-				if bottomUp {
-					dir = 1
-				}
-				switchMk.Emit(w, int64(level)<<1|dir)
-			}
-		}
 		cnt := make([]int64, n)
 		sum := make([]int64, n)
 		var done int64
@@ -91,7 +79,6 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 				tr.Run(srcs[lo:hi])
 				batchNs.ObserveAt(w, time.Since(b0).Nanoseconds())
 				batchOcc.ObserveAt(w, int64(hi-lo))
-				batchMk.Emit(w, int64(hi-lo))
 				for d := 0; d < tr.NumLevels(); d++ {
 					nodes, _ := tr.Level(d)
 					levelWidth.ObserveAt(w, int64(len(nodes)))

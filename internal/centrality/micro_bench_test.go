@@ -128,7 +128,7 @@ func BenchmarkEdgeBetweennessScoresPerSource(b *testing.B) {
 	g.CSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PerSourceEdgeBetweennessScores(g, Options{Workers: 1})
+		both(g, Options{Workers: 1}, false, true)
 	}
 }
 

@@ -9,9 +9,9 @@ package centrality
 //   - oracle: the per-source queue order is the seed algorithm's order, so
 //     oracle_test.go pins it bit-exactly against the seed map-based oracle
 //     and the MS-BFS path against it within float tolerance;
-//   - benchmark baseline: the EdgeBetweennessScoresPerSource/MSBFS and
-//     CRRReduceExactPerSource/MSBFS speedup pairs (micro_bench_test.go,
-//     internal/core) measure the batched engine against exactly this code;
+//   - benchmark baseline: the EdgeBetweennessScoresPerSource/MSBFS pair
+//     (micro_bench_test.go) measures the batched engine against exactly
+//     this code;
 //   - escape hatch: a scalar reference implementation with no per-(node,
 //     bit) state, trivially auditable against Brandes (2001).
 
@@ -21,20 +21,6 @@ import (
 	"edgeshed/internal/graph"
 	"edgeshed/internal/par"
 )
-
-// PerSourceEdgeBetweennessScores is the preserved pre-MS-BFS edge
-// betweenness: identical source selection, sharding and scaling to
-// EdgeBetweennessScores, but one serial Brandes pass per source. Production
-// callers should use EdgeBetweennessScores; this entry exists so benchmarks
-// and oracles outside this package (internal/core's end-to-end CRR pair)
-// can measure and cross-check the batched engine against the seed path.
-// Scores agree with EdgeBetweennessScores to float tolerance, not bit for
-// bit — the two paths sum dependencies in different (both deterministic)
-// orders.
-func PerSourceEdgeBetweennessScores(g *graph.Graph, opt Options) []float64 {
-	_, edges := both(g, opt, false, true)
-	return edges
-}
 
 // predEntry is one recorded shortest-path predecessor: the predecessor node
 // and the canonical id of the connecting edge, captured at discovery time so

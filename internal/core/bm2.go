@@ -145,12 +145,6 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 		adjA[a] = append(adjA[a], id)
 		adjB[bb] = append(adjB[bb], id)
 	}
-	if q.Stats != nil {
-		// The queue is fully built; stamp the build on the flight timeline
-		// with its size.
-		phase2.Marker(obs.EvPQBuild, "bm2.bipartite").Emit(0, q.Stats.Pushes)
-	}
-
 	// Quality probes (DESIGN.md §12): the matching-weight progression folds
 	// the popped gains the loop already has in hand, recorded every
 	// bm2WeightFlush pops and once at the end; the per-pop gain histogram
@@ -232,7 +226,7 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	if err == nil && sp.Enabled() {
 		// End-of-reduce quality record: kept counts, exact Δ, and Theorem 2
 		// bound headroom, the same derivation as cmd/shed's stats rows.
-		QualityOf(res, "BM2").record(sp, 0, "BM2")
+		QualityOf(res, "BM2").record(sp, "BM2")
 	}
 	return res, err
 }

@@ -210,7 +210,7 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 	if tgt >= m {
 		res, err := newResult(g, p, g.Edges())
 		if err == nil && sp.Enabled() {
-			QualityOf(res, "CRR").record(sp, slot, "CRR")
+			QualityOf(res, "CRR").record(sp, "CRR")
 		}
 		return res, err
 	}
@@ -261,17 +261,17 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 		// pays a nil check per step when observability is off. The tallies stay
 		// plain locals (accepted resets per AdaptiveStop window, so it cannot
 		// serve as the run total) and the remainder folds in after the loop,
-		// making the final counter values independent of scrape timing.
+		// making the final counter values independent of scrape timing. The
+		// per-attempt delta histogram tallies the same way.
 		var attCtr, accCtr *obs.Counter
 		var deltaHist *obs.Histogram
-		var flushMk *obs.Marker
+		var deltaTally obs.HistogramTally
 		var qDelta, qRate, qLinf *obs.Probe
 		var curDelta float64
 		if rw.Enabled() {
 			attCtr = rw.Counter("crr.rewire.attempts")
 			accCtr = rw.Counter("crr.rewire.accepted")
 			deltaHist = rw.Histogram("crr.delta_abs_micros")
-			flushMk = rw.Marker(obs.EvRewireFlush, "crr.phase2.rewire")
 			// Quality probes (DESIGN.md §12): the Δ trajectory is maintained
 			// incrementally from the accepted swap deltas the loop already
 			// computes, so its upkeep is one add per accepted swap; the L∞
@@ -291,12 +291,12 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 			if attCtr != nil && attempts%rewireFlush == 0 {
 				attCtr.AddAt(slot, int64(attempts-flushedAtt))
 				accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
+				deltaHist.Fold(slot, &deltaTally)
 				rw.Done(int64(attempts - flushedAtt))
-				qDelta.RecordAt(slot, p, curDelta)
-				qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
-				qLinf.RecordAt(slot, p, maxAbsDis(degKept, exp))
+				qDelta.Record(p, curDelta)
+				qRate.Record(p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
+				qLinf.Record(p, maxAbsDis(degKept, exp))
 				flushedAtt, flushedAcc = attempts, acceptedTotal
-				flushMk.Emit(slot, int64(attempts))
 			}
 			ki := rng.Intn(tgt)         // e1 ∈ E'
 			si := tgt + rng.Intn(m-tgt) // e2 ∈ E \ E'
@@ -321,7 +321,7 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 				d = deltaChange(dis, u1, v1, u2, v2)
 			}
 			if deltaHist != nil {
-				deltaHist.ObserveAt(slot, int64(math.Abs(d)*1e6))
+				deltaTally.Observe(int64(math.Abs(d) * 1e6))
 			}
 			if d < 0 {
 				kept[ki], kept[si] = e2, e1
@@ -348,13 +348,13 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 		if rw.Enabled() {
 			attCtr.AddAt(slot, int64(attempts-flushedAtt))
 			accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
+			deltaHist.Fold(slot, &deltaTally)
 			rw.Done(int64(attempts - flushedAtt))
 			if attempts > flushedAtt {
-				qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
+				qRate.Record(p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
 			}
-			qDelta.RecordAt(slot, p, curDelta)
-			qLinf.RecordAt(slot, p, maxAbsDis(degKept, exp))
-			flushMk.Emit(slot, int64(attempts))
+			qDelta.Record(p, curDelta)
+			qLinf.Record(p, maxAbsDis(degKept, exp))
 		}
 		rw.End()
 	}
@@ -363,7 +363,7 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 		// The authoritative end-of-reduce quality record: kept counts, exact
 		// Δ, and Theorem 1 bound headroom — the same derivation cmd/shed's
 		// -stats-json rows use, so manifest and stats cannot drift.
-		QualityOf(res, "CRR").record(sp, slot, "CRR")
+		QualityOf(res, "CRR").record(sp, "CRR")
 	}
 	return res, err
 }

@@ -34,68 +34,6 @@ func BenchmarkBM2Reduce(b *testing.B) {
 	}
 }
 
-// The MapIndexed/CSRIndexed and Serial/Parallel pairs below compare the
-// preserved pre-migration implementation from oracle_test.go (or Workers = 1
-// for the sweep) with the production code.
-
-func BenchmarkCRRReduceMapIndexed(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := seedCRRReduce(CRR{Seed: 1, Importance: ImportanceDegreeProduct}, g, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCRRReduceCSRIndexed(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (CRR{Seed: 1, Importance: ImportanceDegreeProduct}).Reduce(g, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBM2ReduceMapIndexed(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := seedBM2Reduce(BM2{}, g, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBM2ReduceCSRIndexed(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (BM2{}).Reduce(g, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCRRSweep runs the 9-point ratio sweep at the given worker count.
-func benchCRRSweep(b *testing.B, workers int) {
-	g := gen.BarabasiAlbert(5000, 4, 1)
-	ps := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	c := CRR{Seed: 1, Importance: ImportanceRandom, Workers: workers}
-	g.CSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Sweep(g, ps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCRRSweepSerial(b *testing.B) { benchCRRSweep(b, 1) }
-
-func BenchmarkCRRSweepParallel(b *testing.B) { benchCRRSweep(b, 0) }
-
 func BenchmarkCRRPhase2Only(b *testing.B) {
 	// Isolate the rewiring loop's throughput: random importance skips the
 	// betweenness computation entirely.
@@ -127,35 +65,5 @@ func BenchmarkResultDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res.Delta()
-	}
-}
-
-// The CRRReduceExact pair compares a full exact-betweenness CRR reduction
-// with Phase 1 on the preserved per-source scorer against the batched MS-BFS
-// edge-dependency fold, single worker, identical Phase 2. The gap between
-// the two is the CRR speedup the batched scorer buys in practice.
-
-func BenchmarkCRRReduceExactPerSource(b *testing.B) {
-	g := gen.BarabasiAlbert(1000, 4, 1)
-	g.CSR()
-	c := CRR{Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scores := centrality.PerSourceEdgeBetweennessScores(g, centrality.Options{Workers: 1, Seed: c.Seed + 1})
-		if _, err := c.reduce(g, 0.5, scores, c.Seed, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCRRReduceExactMSBFS(b *testing.B) {
-	g := gen.BarabasiAlbert(1000, 4, 1)
-	g.CSR()
-	c := CRR{Seed: 1, Betweenness: centrality.Options{Workers: 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Reduce(g, 0.5); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -5,8 +5,7 @@ package core
 // ForestFire — verbatim as oracles, in the style the parallel analysis
 // kernels established: the production code may change representation freely,
 // but these tests pin its output bit-for-bit to what the simpler structures
-// computed. They double as the "old" side of the MapIndexed/CSRIndexed
-// benchmark pairs.
+// computed.
 //
 // CRR's Phase 1 ranking is the one deliberate behavior change of the flat
 // migration (rng.Perm + stable sort → splitmix64 tie keys), so the CRR
@@ -17,20 +16,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"edgeshed/internal/centrality"
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/matching"
+	"edgeshed/internal/obs"
 )
 
 // seedCRRPhase2 is CRR.reduce as it stood before the edge-id migration —
 // kept edges as graph.Edge values, discrepancies recomputed from
 // g.Degree — except that Phase 1 uses the shared rankEdges order, so the
-// comparison isolates the representation change.
-func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error) {
+// comparison isolates the representation change. Each attempt's |Δ change|
+// in micro-units is observed into deltas (nil skips it), the reference for
+// the crr.delta_abs_micros histogram.
+func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64, deltas *obs.Histogram) (*Result, error) {
 	if err := checkP(p); err != nil {
 		return nil, err
 	}
@@ -63,6 +64,7 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error
 			si := tgt + rng.Intn(m-tgt)
 			e1, e2 := kept[ki], kept[si]
 			d := deltaChange(dis, e1.U, e1.V, e2.U, e2.V)
+			deltas.Observe(int64(math.Abs(d) * 1e6))
 			if d < 0 {
 				kept[ki], kept[si] = e2, e1
 				degKept[e1.U]--
@@ -79,56 +81,6 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error
 					}
 					accepted, window = 0, 0
 				}
-			}
-		}
-	}
-	return newResult(g, p, kept[:tgt])
-}
-
-// seedCRRReduce is the complete pre-migration CRR pipeline, including the
-// rng.Perm + sort.SliceStable ranking. Its output differs from CRR.Reduce
-// by the documented tie-break change; it exists as the "old" side of
-// BenchmarkCRRReduceMapIndexed, not as an equality oracle.
-func seedCRRReduce(c CRR, g *graph.Graph, p float64) (*Result, error) {
-	if err := checkP(p); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	tgt := targetEdges(g, p)
-	m := g.NumEdges()
-	if tgt >= m {
-		return newResult(g, p, g.Edges())
-	}
-	scores := c.edgeImportance(g, nil)
-	order := rng.Perm(m)
-	sort.SliceStable(order, func(i, j int) bool {
-		return scores[order[i]] > scores[order[j]]
-	})
-	all := g.Edges()
-	kept := make([]graph.Edge, m)
-	for i, oi := range order {
-		kept[i] = all[oi]
-	}
-	degKept := make([]int, g.NumNodes())
-	for _, e := range kept[:tgt] {
-		degKept[e.U]++
-		degKept[e.V]++
-	}
-	dis := func(u graph.NodeID) float64 {
-		return float64(degKept[u]) - p*float64(g.Degree(u))
-	}
-	if tgt > 0 && tgt < m {
-		steps := c.steps(tgt)
-		for i := 0; i < steps; i++ {
-			ki := rng.Intn(tgt)
-			si := tgt + rng.Intn(m-tgt)
-			e1, e2 := kept[ki], kept[si]
-			if deltaChange(dis, e1.U, e1.V, e2.U, e2.V) < 0 {
-				kept[ki], kept[si] = e2, e1
-				degKept[e1.U]--
-				degKept[e1.V]--
-				degKept[e2.U]++
-				degKept[e2.V]++
 			}
 		}
 	}
@@ -328,7 +280,7 @@ func TestCRRMatchesSeedPhase2(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := seedCRRPhase2(c, g, p, c.Seed)
+				want, err := seedCRRPhase2(c, g, p, c.Seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -346,7 +298,7 @@ func TestCRRBetweennessMatchesSeedPhase2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := seedCRRPhase2(c, g, p, c.Seed)
+		want, err := seedCRRPhase2(c, g, p, c.Seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,20 +61,20 @@ func QualityOf(res *Result, method string) RatioQuality {
 }
 
 // record emits the summary onto sp's quality probes under the method's
-// lowercase prefix ("crr.kept_edges", "bm2.headroom.theorem2", ...), from
-// worker slot. Called once at the end of a reduce — never on the hot path —
-// and free when sp is nil.
-func (q RatioQuality) record(sp *obs.Span, slot int, method string) {
+// lowercase prefix ("crr.kept_edges", "bm2.headroom.theorem2", ...). Called
+// once at the end of a reduce — never on the hot path — and free when sp is
+// nil.
+func (q RatioQuality) record(sp *obs.Span, method string) {
 	if !sp.Enabled() {
 		return
 	}
 	prefix := strings.ToLower(method) + "."
-	sp.Quality(prefix+"kept_edges", obs.DirInfo).RecordAt(slot, q.P, float64(q.KeptEdges))
-	sp.Quality(prefix+"kept_fraction", obs.DirInfo).RecordAt(slot, q.P, q.KeptFraction)
-	sp.Quality(prefix+"delta", obs.DirLower).RecordAt(slot, q.P, q.Delta)
-	sp.Quality(prefix+"avg_dis", obs.DirLower).RecordAt(slot, q.P, q.AvgDisPerNode)
+	sp.Quality(prefix+"kept_edges", obs.DirInfo).Record(q.P, float64(q.KeptEdges))
+	sp.Quality(prefix+"kept_fraction", obs.DirInfo).Record(q.P, q.KeptFraction)
+	sp.Quality(prefix+"delta", obs.DirLower).Record(q.P, q.Delta)
+	sp.Quality(prefix+"avg_dis", obs.DirLower).Record(q.P, q.AvgDisPerNode)
 	if q.BoundName != "" {
-		sp.Quality(prefix+"bound."+q.BoundName, obs.DirInfo).RecordAt(slot, q.P, q.Bound)
-		sp.Quality(prefix+"headroom."+q.BoundName, obs.DirHigher).RecordAt(slot, q.P, q.Headroom)
+		sp.Quality(prefix+"bound."+q.BoundName, obs.DirInfo).Record(q.P, q.Bound)
+		sp.Quality(prefix+"headroom."+q.BoundName, obs.DirHigher).Record(q.P, q.Headroom)
 	}
 }

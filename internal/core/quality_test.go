@@ -67,7 +67,7 @@ func TestQualityRecordProbes(t *testing.T) {
 	}
 	q := QualityOf(res, "CRR")
 	rec := obs.New("test")
-	q.record(rec.Root(), 0, "CRR")
+	q.record(rec.Root(), "CRR")
 	rec.Root().End()
 
 	qv := rec.QualityValues()
@@ -102,7 +102,7 @@ func TestQualityRecordProbes(t *testing.T) {
 
 	// A bound-less method records only the four base metrics.
 	rec2 := obs.New("test")
-	QualityOf(res, "Random").record(rec2.Root(), 0, "Random")
+	QualityOf(res, "Random").record(rec2.Root(), "Random")
 	rec2.Root().End()
 	qv2 := rec2.QualityValues()
 	if len(qv2) != 4 {

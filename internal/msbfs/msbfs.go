@@ -116,10 +116,9 @@ type Traversal struct {
 
 	// OnSwitch, when non-nil, is called at every direction switch with the
 	// level about to be expanded and the new direction (true = bottom-up).
-	// It is an observation seam — msbfs stays import-free of obs; kernels
-	// bind it to a flight-recorder marker when recording — and must not
-	// mutate traversal state: the engine's outputs are bit-identical with
-	// or without it.
+	// It is an observation seam — msbfs stays import-free of obs — and
+	// must not mutate traversal state: the engine's outputs are
+	// bit-identical with or without it.
 	OnSwitch func(level int, bottomUp bool)
 }
 

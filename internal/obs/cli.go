@@ -10,42 +10,33 @@ import (
 	"runtime/trace"
 	"strings"
 	"time"
-
-	"edgeshed/internal/par"
 )
 
 // CLI holds the shared observability flags every cmd binary registers
 // through BindFlags: capture hooks (-profile, -profile-out, -trace,
-// -metrics), the live debug plane (-debug-addr), the background runtime
-// sampler (-sample-interval) and the stderr progress logger's verbosity and
-// format (-quiet, -v, -log-json). After flag parsing, Start turns the
-// requested captures on and returns the run's Session.
+// -metrics), the live debug plane (-debug-addr) and the stderr progress
+// logger's verbosity and format (-quiet, -v, -log-json). After flag
+// parsing, Start turns the requested captures on and returns the run's
+// Session.
 type CLI struct {
 	// Profile selects a runtime profile to capture: "cpu", "mem" or
 	// "block"; empty captures none.
 	Profile string
 	// ProfileOut is the profile output path; empty means "<mode>.pprof".
 	ProfileOut string
-	// TracePath, when non-empty, captures a runtime execution trace there.
+	// TracePath, when non-empty, captures a runtime execution trace there —
+	// the run's timeline, in which every span is a trace task (DESIGN.md
+	// §11). Enables the Recorder so the spans exist.
 	TracePath string
 	// MetricsPath, when non-empty, writes the JSON run manifest there and
 	// enables the Recorder the kernels report spans and counters into.
 	MetricsPath string
-	// TraceEventsPath, when non-empty, writes a Chrome/Perfetto trace-event
-	// JSON file there at Close: the span tree plus the flight recorder's
-	// events as one track per worker slot, with counter tracks. Enables the
-	// Recorder like -metrics.
-	TraceEventsPath string
 	// DebugAddr, when non-empty, serves the live debug plane there for the
 	// run's duration: /metrics (Prometheus text exposition), /progress
 	// (live span tree with ETAs), /healthz and /debug/pprof/*. Setting it
 	// enables the Recorder even without -metrics, so live scrapes have
 	// counters and spans to read.
 	DebugAddr string
-	// SampleInterval, when positive, runs the background runtime sampler:
-	// a timestamped timeline of heap, GC and goroutine observations
-	// recorded into the manifest's runtime_timeline.
-	SampleInterval time.Duration
 	// Quiet suppresses progress output on stderr.
 	Quiet bool
 	// Verbose enables extra progress output on stderr, including the
@@ -66,9 +57,7 @@ func BindFlags(fs *flag.FlagSet) *CLI {
 	fs.StringVar(&c.ProfileOut, "profile-out", "", "profile output path (default <mode>.pprof)")
 	fs.StringVar(&c.TracePath, "trace", "", "capture a runtime execution trace to this file")
 	fs.StringVar(&c.MetricsPath, "metrics", "", "write a JSON run manifest to this file")
-	fs.StringVar(&c.TraceEventsPath, "trace-events", "", "write a Chrome/Perfetto trace-event JSON timeline to this file (one track per worker)")
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve the live debug plane (/metrics, /progress, /healthz, /debug/pprof) on this address for the run's duration")
-	fs.DurationVar(&c.SampleInterval, "sample-interval", 0, "sample heap/GC/goroutine stats on this interval into the manifest's runtime timeline (0 = off)")
 	fs.BoolVar(&c.Quiet, "quiet", false, "suppress progress output on stderr")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose progress output on stderr")
 	fs.BoolVar(&c.LogJSON, "log-json", false, "emit log lines as JSON objects (ts, level, msg)")
@@ -86,10 +75,9 @@ func (c *CLI) profilePath() string {
 // Start begins the run's observability session for the named command:
 // starts the CPU profile and execution trace if requested, arms block
 // profiling, snapshots memory, creates the Recorder whose root span times
-// the whole run when -metrics or -debug-addr asked for one, binds the live
-// debug plane, and launches the background runtime sampler and the -v
-// progress heartbeat. Call exactly once, after flag parsing; pair with
-// Session.Close.
+// the whole run when -metrics, -trace or -debug-addr asked for one, binds
+// the live debug plane, and launches the -v progress heartbeat. Call
+// exactly once, after flag parsing; pair with Session.Close.
 func (c *CLI) Start(command string) (*Session, error) {
 	s := &Session{cli: c, command: command, startWall: time.Now()}
 	runtime.ReadMemStats(&s.memBefore)
@@ -125,12 +113,9 @@ func (c *CLI) Start(command string) (*Session, error) {
 		}
 		s.traceFile = f
 	}
-	if c.MetricsPath != "" || c.DebugAddr != "" || c.TraceEventsPath != "" {
+	if c.MetricsPath != "" || c.DebugAddr != "" || c.TracePath != "" {
+		// Started after trace.Start, so the root span is the trace's root task.
 		s.rec = New(command)
-		// par reports worker-slot identity into the flight recorder for the
-		// session's duration; Close restores whatever was installed before.
-		s.prevSlotObs = par.SetSlotObserver(s.rec.Flight())
-		s.slotObsSet = true
 	}
 	if c.DebugAddr != "" {
 		d, err := startDebugServer(c.DebugAddr, s.rec)
@@ -141,9 +126,6 @@ func (c *CLI) Start(command string) (*Session, error) {
 		s.debug = d
 		s.Verbosef("debug plane listening on %s", d.Addr())
 	}
-	if c.SampleInterval > 0 {
-		s.smp = startSampler(c.SampleInterval, s.startWall, s.rec.Flight().Marker(EvSamplerTick, "runtime"))
-	}
 	if c.Verbose && !c.Quiet && s.rec != nil {
 		s.startHeartbeat(heartbeatInterval)
 	}
@@ -151,9 +133,10 @@ func (c *CLI) Start(command string) (*Session, error) {
 }
 
 // Session is one observed run of a cmd binary: the live Recorder (nil
-// unless -metrics asked for one — the zero-overhead-when-off switch), the
-// in-flight captures, and the manifest fields the command fills in as it
-// learns them (graph size, seed, workers). All methods are nil-safe so
+// unless -metrics, -trace or -debug-addr asked for one — the
+// zero-overhead-when-off switch), the in-flight captures, and the manifest
+// fields the command fills in as it learns them (graph size, seed,
+// workers). All methods are nil-safe so
 // helper functions can be exercised without a session.
 type Session struct {
 	cli       *CLI
@@ -166,11 +149,8 @@ type Session struct {
 	traceFile *os.File
 
 	debug         *debugServer
-	smp           *sampler
 	heartbeatStop chan struct{}
 	heartbeatDone chan struct{}
-	prevSlotObs   par.SlotObserver
-	slotObsSet    bool
 
 	graph   *GraphInfo
 	seed    int64
@@ -187,7 +167,7 @@ func (s *Session) DebugServerAddr() string {
 	return s.debug.Addr()
 }
 
-// Recorder returns the session's recorder — nil unless -metrics or
+// Recorder returns the session's recorder — nil unless -metrics, -trace or
 // -debug-addr enabled it, which is exactly the nil kernels should receive
 // so disabled runs pay nothing.
 func (s *Session) Recorder() *Recorder {
@@ -376,7 +356,7 @@ func (s *Session) stopCaptures() {
 // buildManifest snapshots the session's observed state into a Manifest.
 // Shared by the clean Close path and Run's panic dump, so both produce the
 // same document shape.
-func (s *Session) buildManifest(timeline []RuntimeSample) *Manifest {
+func (s *Session) buildManifest() *Manifest {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	return &Manifest{
@@ -395,10 +375,8 @@ func (s *Session) buildManifest(timeline []RuntimeSample) *Manifest {
 		Spans:          s.rec.SpanTree(),
 		Counters:       s.rec.CounterValues(),
 		Histograms:     s.rec.HistogramValues(),
-		FlightEvents:   s.rec.Flight().Events(),
 		Mem:            memDelta(&s.memBefore, &after),
 		RuntimeMetrics: captureRuntimeMetrics(),
-		Timeline:       timeline,
 		Quality:        s.rec.QualityPoints(),
 		GitCommit:      gitCommit(),
 	}
@@ -412,31 +390,21 @@ func (s *Session) cliFlags() *flag.FlagSet {
 	return s.cli.fs
 }
 
-// restoreSlotObserver hands par's slot-observer seam back to whatever was
-// installed before Start; idempotent.
-func (s *Session) restoreSlotObserver() {
-	if s.slotObsSet {
-		par.SetSlotObserver(s.prevSlotObs)
-		s.slotObsSet = false
-	}
-}
-
-// Close ends the session: stops the heartbeat, the runtime sampler and the
-// debug plane, then the CPU profile and trace, writes the heap or block
-// profile if one was requested, and — when -metrics or -trace-events asked
-// for output files — ends the root span and writes the manifest (verifying
-// it parses back) and the Chrome trace-event timeline. Call once, after the
-// command's work finished; its error is the command's to report. Nil-safe.
+// Close ends the session: stops the heartbeat and the debug plane, ends
+// the root span, stops the CPU profile and trace, writes the heap or block
+// profile if one was requested, and writes the manifest if -metrics asked
+// for one (verifying it parses back). Call once, after the command's work
+// finished; its error is the command's to report. Nil-safe.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.stopHeartbeat()
-	timeline := s.smp.Stop()
-	s.smp = nil
 	s.debug.stop()
 	s.debug = nil
-	s.restoreSlotObserver()
+	// The root span ends before trace.Stop, or the trace loses the root
+	// task's end.
+	s.rec.Root().End()
 	s.stopCaptures()
 	var firstErr error
 	switch {
@@ -451,18 +419,9 @@ func (s *Session) Close() error {
 			firstErr = err
 		}
 	}
-	if s.rec != nil && s.cli != nil && (s.cli.MetricsPath != "" || s.cli.TraceEventsPath != "") {
-		s.rec.Root().End()
-		m := s.buildManifest(timeline)
-		if s.cli.MetricsPath != "" {
-			if err := m.WriteFile(s.cli.MetricsPath); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if s.cli.TraceEventsPath != "" {
-			if err := writeTraceEventsFile(s.cli.TraceEventsPath, m); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	if s.rec != nil && s.cli != nil && s.cli.MetricsPath != "" {
+		if err := s.buildManifest().WriteFile(s.cli.MetricsPath); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -470,11 +429,14 @@ func (s *Session) Close() error {
 
 // Run executes the session's workload with a panic recovery hook: if fn
 // panics while a Recorder is live, the session dumps a panic manifest —
-// the ordinary manifest plus the panic value, the panicking stack, and the
-// flight recorder's tail, the events leading up to the crash — to the
-// -metrics path (or "<command>.panic.json" without one) before re-raising
-// the panic. A run that returns normally passes its error through
-// untouched; pair with Session.Close as usual. Nil-safe: without a session
+// the ordinary manifest, with the span tree as it stood mid-flight, plus
+// the panic value and the panicking stack — to the -metrics path (or
+// "<command>.panic.json" without one), and stops the CPU profile and
+// execution trace so their files are flushed, before re-raising the panic.
+// The trace is the crash's timeline: cmd binaries call Session.Close only
+// after Run returns, which a re-raised panic never does. A run that
+// returns normally passes its error through untouched; pair with
+// Session.Close as usual. Nil-safe: without a session
 // or recorder, Run is just fn().
 func Run(s *Session, fn func() error) error {
 	if s == nil || s.rec == nil {
@@ -487,10 +449,10 @@ func Run(s *Session, fn func() error) error {
 		}
 		stack := make([]byte, 64<<10)
 		stack = stack[:runtime.Stack(stack, false)]
-		s.rec.Flight().Marker(EvPanic, fmt.Sprint(r)).Emit(-1, 0)
-		m := s.buildManifest(nil)
+		m := s.buildManifest()
 		m.Panic = fmt.Sprint(r)
 		m.PanicStack = string(stack)
+		s.stopCaptures()
 		path := s.command + ".panic.json"
 		if s.cli != nil && s.cli.MetricsPath != "" {
 			path = s.cli.MetricsPath

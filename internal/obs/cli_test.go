@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime/trace"
+	"strings"
 	"testing"
 )
 
@@ -206,5 +208,57 @@ func TestNilSessionMethods(t *testing.T) {
 	s.Verbosef("dropped %d", 1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPanicDumpManifest pins Run's crash path: a panic inside a span must
+// leave behind a manifest carrying the panic value, the stack and the span
+// tree as it stood mid-flight, and a flushed execution trace — the crash's
+// timeline — because the re-raised panic skips Session.Close. Run's recover
+// hook re-raises, so the panic is observed here too.
+func TestPanicDumpManifest(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "panic_run.json")
+	tracePath := filepath.Join(dir, "panic_trace.out")
+	cli := &CLI{MetricsPath: path, TracePath: tracePath}
+	s, err := cli.Start("paniccmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run swallowed the panic")
+			}
+		}()
+		_ = Run(s, func() error {
+			sp := s.Root().Start("doomed.phase")
+			defer sp.End()
+			panic("kernel exploded")
+		})
+	}()
+	if trace.IsEnabled() {
+		t.Fatal("execution trace still running after the panic hook")
+	}
+	if st, err := os.Stat(tracePath); err != nil || st.Size() == 0 {
+		t.Fatalf("panic run's trace not flushed: %v", err)
+	}
+	m, err := ReadManifest(path)
+	if err != nil {
+		t.Fatalf("panic manifest unreadable: %v", err)
+	}
+	if m.Panic != "kernel exploded" {
+		t.Fatalf("manifest.Panic = %q", m.Panic)
+	}
+	if !strings.Contains(m.PanicStack, "cli_test") {
+		t.Errorf("panic stack does not mention the panicking test:\n%s", m.PanicStack)
+	}
+	// The dump snapshots mid-flight: the root is still open and the phase
+	// the panic unwound through is in the tree.
+	if m.Spans == nil || m.Spans.Ended || len(m.Spans.Children) == 0 || m.Spans.Children[0].Name != "doomed.phase" {
+		t.Fatalf("panic manifest span tree missing the open run: %+v", m.Spans)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after panic dump: %v", err)
 	}
 }

@@ -7,8 +7,7 @@ import "sync/atomic"
 // (DESIGN.md §7): worker w adds into cell w mod CounterShards, so any
 // worker count up to the shard count runs contention-free, and reads merge
 // the cells. The constant is restated rather than aliased to par.Shards so
-// the obs data structures read self-contained (obs imports par only for
-// the SlotObserver seam in cli.go); a unit test pins the two equal.
+// obs stays import-free of par; a unit test pins the two equal.
 const CounterShards = 16
 
 // counterCell is one shard of a Counter, padded out to 128 bytes — two

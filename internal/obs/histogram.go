@@ -24,7 +24,7 @@ type histShard struct {
 
 // Histogram records a distribution in power-of-two buckets, sharded across
 // CounterShards cells like Counter so parallel workers never contend
-// (DESIGN.md §8, §11). The bucket of a value is its bit length —
+// (DESIGN.md §8.3). The bucket of a value is its bit length —
 // bits.Len64 — so bucketing costs one instruction and no branches beyond
 // the sign check; count and sum are exact int64s, so merged snapshots are
 // deterministic (no float accumulation order to worry about).
@@ -44,17 +44,61 @@ func (h *Histogram) ObserveAt(w int, v int64) {
 	if h == nil {
 		return
 	}
+	s := h.shard(w)
+	s.buckets[bucketOf(v)].Add(1)
+	s.count.Add(1)
+	s.sum.Add(v)
+}
+
+// shard is worker w's shard: w mod CounterShards, negative w as 0.
+func (h *Histogram) shard(w int) *histShard {
 	if w < 0 {
 		w = 0
 	}
-	s := &h.shards[w&(CounterShards-1)]
-	var b int
-	if v > 0 {
-		b = bits.Len64(uint64(v))
+	return &h.shards[w&(CounterShards-1)]
+}
+
+// bucketOf is v's bucket: its bit length, or 0 for v ≤ 0.
+func bucketOf(v int64) int {
+	if v <= 0 {
+		return 0
 	}
-	s.buckets[b].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
+	return bits.Len64(uint64(v))
+}
+
+// HistogramTally is a histogram for one goroutine's hot loop: plain bucket
+// counts and sum, with no atomics, folded into a Histogram at the loop's
+// flush points by Fold. A loop that observes every iteration pays two
+// plain adds per value instead of ObserveAt's three atomic adds, and the
+// folded snapshot equals what ObserveAt per value would have produced.
+type HistogramTally struct {
+	buckets [histBuckets]int64
+	sum     int64
+}
+
+// Observe records v into the tally.
+func (t *HistogramTally) Observe(v int64) {
+	t.buckets[bucketOf(v)]++
+	t.sum += v
+}
+
+// Fold adds the tally into worker w's shard (as ObserveAt) and resets the
+// tally. Nil-safe: on a nil Histogram the tally is left as is.
+func (h *Histogram) Fold(w int, t *HistogramTally) {
+	if h == nil {
+		return
+	}
+	s := h.shard(w)
+	var count int64
+	for b, n := range t.buckets {
+		if n != 0 {
+			s.buckets[b].Add(n)
+			count += n
+		}
+	}
+	s.count.Add(count)
+	s.sum.Add(t.sum)
+	*t = HistogramTally{}
 }
 
 // HistogramSnapshot is a merged, serializable histogram: exact count and

@@ -49,10 +49,6 @@ type Manifest struct {
 	// Histograms holds every histogram's merged bucket snapshot, reported
 	// by cmd/obsdiff as p50/p99.
 	Histograms map[string]*HistogramSnapshot `json:"histograms,omitempty"`
-	// FlightEvents is the flight recorder's tail — the last few thousand
-	// structured events in timestamp order (DESIGN.md §11). Present whenever
-	// a Recorder was live, and the payload of a panic dump.
-	FlightEvents []Event `json:"flight_events,omitempty"`
 	// Panic carries the panic value's rendering when the manifest was dumped
 	// by Run's recover hook rather than a clean Session.Close.
 	Panic string `json:"panic,omitempty"`
@@ -63,11 +59,6 @@ type Manifest struct {
 	// RuntimeMetrics holds a curated set of runtime/metrics samples taken
 	// at the end of the run, keyed by metric name.
 	RuntimeMetrics map[string]float64 `json:"runtime_metrics,omitempty"`
-	// Timeline is the background runtime sampler's timestamped series of
-	// heap/GC/goroutine observations (-sample-interval); absent when the
-	// sampler was off. Where Mem says how much a run allocated, the timeline
-	// says when.
-	Timeline []RuntimeSample `json:"runtime_timeline,omitempty"`
 	// Quality is the run's quality-probe timeline (DESIGN.md §12): every
 	// Probe recording in offset order; each (metric, ratio) pair's last
 	// point is the series cmd/obsdiff gates. Absent when no probe recorded.

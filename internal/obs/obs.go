@@ -1,7 +1,7 @@
 // Package obs is the repository's observability layer: phase spans with
-// monotonic timings, sharded counters, runtime profile/trace
-// capture, and JSON run manifests — stdlib only, threaded through every
-// kernel and cmd binary.
+// monotonic timings, sharded counters and histograms, quality probes,
+// runtime profile and execution-trace capture, and JSON run manifests —
+// stdlib only, threaded through every kernel and cmd binary.
 //
 // The package is built around one hard rule, the one that lets
 // instrumentation live inside hot kernels: **disabled instrumentation is
@@ -27,10 +27,13 @@
 //     matters, not just their sum (per-batch BFS times, MS-BFS level
 //     widths, CRR delta magnitudes). Power-of-two buckets, sharded like
 //     counters.
-//   - The Flight recorder remembers the last few thousand individual
-//     events (span boundaries, direction switches, rewire flushes) in
-//     per-worker rings, the raw material of the trace-event export and the
-//     panic dump (DESIGN.md §11).
+//   - A Probe gauges an algorithm-quality signal (Δ, bound headroom,
+//     matching weight) at coarse flush points (DESIGN.md §12).
+//
+// The run's timeline is Go's own execution trace (-trace, DESIGN.md §11):
+// while runtime/trace is on, every span is also a trace task, so
+// `go tool trace` shows the span tree over the per-goroutine, heap and GC
+// tracks on one clock.
 //
 // A Recorder owns one run's root span, counters and histograms, and snapshots
 // into a Manifest — the diffable JSON document every cmd binary can emit
@@ -38,6 +41,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -47,9 +51,8 @@ import (
 // relative to. A nil Recorder is the disabled state: every method no-ops
 // (or returns a nil handle whose methods no-op) without allocating.
 type Recorder struct {
-	start  time.Time
-	root   *Span
-	flight *Flight
+	start time.Time
+	root  *Span
 
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -63,19 +66,16 @@ type Recorder struct {
 }
 
 // New returns an enabled Recorder whose root span, named after the command
-// or operation being observed, starts now. An enabled Recorder always
-// carries a flight recorder (~0.5 MB of rings); the free-when-disabled rule
-// is carried by nil receivers, not by partially-enabled recorders.
+// or operation being observed, starts now. The free-when-disabled rule is
+// carried by nil receivers, not by partially-enabled recorders.
 func New(name string) *Recorder {
 	r := &Recorder{
-		start:      time.Now(),
 		counters:   make(map[string]*Counter),
 		histograms: make(map[string]*Histogram),
 		probes:     make(map[string]*Probe),
 	}
-	r.flight = newFlight(r.start)
-	r.root = &Span{rec: r, name: name, start: r.start, nameID: r.flight.intern(name)}
-	r.flight.emit(-1, EvSpanBegin, r.root.nameID, 0)
+	r.root = newSpan(r, context.Background(), name)
+	r.start = r.root.start
 	return r
 }
 

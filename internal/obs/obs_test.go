@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime/trace"
 	"testing"
 	"time"
 
@@ -22,9 +24,6 @@ func TestNilReceiversNoOp(t *testing.T) {
 	}
 	if r.Histogram("x") != nil {
 		t.Error("nil Recorder.Histogram() != nil")
-	}
-	if r.Flight() != nil {
-		t.Error("nil Recorder.Flight() != nil")
 	}
 	if r.CounterValues() != nil || r.HistogramValues() != nil || r.SpanTree() != nil {
 		t.Error("nil Recorder snapshots != nil")
@@ -48,16 +47,12 @@ func TestNilReceiversNoOp(t *testing.T) {
 	if sp.Counter("x") != nil || sp.Histogram("x") != nil {
 		t.Error("nil Span handle != nil")
 	}
-	if sp.Marker(EvBatch, "x") != nil {
-		t.Error("nil Span.Marker() != nil")
-	}
 	if sp.Quality("x", DirHigher) != nil {
 		t.Error("nil Span.Quality() != nil")
 	}
 
 	var p *Probe
 	p.Record(0.5, 1.5)
-	p.RecordAt(3, 0.5, 1.5)
 	if v, ok := p.Value(); ok || v != 0 {
 		t.Error("nil Probe.Value() != (0, false)")
 	}
@@ -72,46 +67,36 @@ func TestNilReceiversNoOp(t *testing.T) {
 	var h *Histogram
 	h.Observe(5)
 	h.ObserveAt(3, 5)
+	var tally HistogramTally
+	tally.Observe(5)
+	h.Fold(3, &tally)
 	if h.Snapshot() != nil {
 		t.Error("nil Histogram.Snapshot() != nil")
 	}
-
-	var f *Flight
-	f.SlotBegin(0, 4)
-	f.SlotEnd(0, 4)
-	if f.Marker(EvBatch, "x") != nil {
-		t.Error("nil Flight.Marker() != nil")
-	}
-	if f.Events() != nil {
-		t.Error("nil Flight.Events() != nil")
-	}
-
-	var mk *Marker
-	mk.Emit(0, 1)
 }
 
 // disabledKernelPath exercises the exact call shape an instrumented kernel
-// runs when observation is off: derive a child span, fetch counters,
-// histograms and markers, add/observe/emit, record worker busy time, end.
+// runs when observation is off: derive a child span, fetch counters and
+// histograms, add/observe/fold, record worker busy time, end.
 func disabledKernelPath(parent *Span) {
 	sp := parent.Start("phase")
 	sp.SetTotal(100)
 	ctr := sp.Counter("events")
 	hist := sp.Histogram("batch_ns")
-	mk := sp.Marker(EvBatch, "phase")
+	var tally HistogramTally
 	for i := 0; i < 8; i++ {
 		ctr.AddAt(i, 1)
 		hist.ObserveAt(i, int64(i)*100)
-		mk.Emit(i, int64(i))
+		tally.Observe(int64(i))
 		sp.Done(1)
 	}
 	ctr.Add(1)
 	hist.Observe(7)
+	hist.Fold(0, &tally)
 	if d, tot := sp.Progress(); d != 0 || tot != 0 {
 		panic("nil span reported progress")
 	}
 	q := sp.Quality("delta", DirLower)
-	q.RecordAt(0, 0.5, 1.5)
 	q.Record(0.5, 2.5)
 	if _, ok := q.Value(); ok {
 		panic("nil probe reported a value")
@@ -281,5 +266,36 @@ func TestSpanProgressAndETA(t *testing.T) {
 	n = r.SpanTree().Children[0]
 	if !n.Ended || n.EtaNs != 0 {
 		t.Fatalf("ended span: ended=%v eta=%d, want true/0", n.Ended, n.EtaNs)
+	}
+}
+
+// TestSpansAreTraceTasks pins the timeline contract: a span started while
+// runtime/trace is writing carries a trace task, named after the span, and
+// one started without tracing carries none.
+func TestSpansAreTraceTasks(t *testing.T) {
+	untraced := New("root").Root().Start("untraced")
+	if untraced.task != nil || untraced.ctx != nil {
+		t.Fatal("span started without tracing carries a trace task")
+	}
+	var buf bytes.Buffer
+	if err := trace.Start(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := New("traced.root")
+	child := r.Root().Start("traced.phase")
+	grand := child.Start("traced.sub")
+	grand.End()
+	child.End()
+	r.Root().End()
+	trace.Stop()
+	for _, sp := range []*Span{r.Root(), child, grand} {
+		if sp.task == nil || sp.ctx == nil {
+			t.Fatalf("span %q started while tracing carries no task", sp.name)
+		}
+	}
+	for _, name := range []string{"traced.root", "traced.phase", "traced.sub"} {
+		if !bytes.Contains(buf.Bytes(), []byte(name)) {
+			t.Errorf("trace does not name task %q", name)
+		}
 	}
 }

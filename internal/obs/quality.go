@@ -7,20 +7,18 @@ import (
 	"time"
 )
 
-// The quality plane is the fourth obs tier (DESIGN.md §12): where spans,
-// counters and the flight recorder make a run legible in *time*, quality
-// probes make it legible in *quality* — the paper's actual claims. A Probe
-// is a named, direction-tagged gauge of an algorithm-quality signal (the
-// CRR Phase 2 objective Δ, theorem-bound headroom, BM2 matching weight,
-// per-epoch stream swap rates, tasks.Suite scores) whose recordings land on
-// three surfaces at once:
+// The quality plane is the fourth obs tier (DESIGN.md §12): where spans
+// and counters make a run legible in *time*, quality probes make it
+// legible in *quality* — the paper's actual claims. A Probe is a named,
+// direction-tagged gauge of an algorithm-quality signal (the CRR Phase 2
+// objective Δ, theorem-bound headroom, BM2 matching weight, per-epoch
+// stream swap rates, tasks.Suite scores) whose recordings land on two
+// surfaces at once:
 //
 //   - the latest value as a float gauge family on /metrics
 //     (edgeshed_quality_*), so a live scrape sees quality converging;
 //   - a timestamped QualityPoint in the manifest's quality_timeline array,
-//     the series cmd/obsdiff compares and gates across runs;
-//   - an EvQuality flight event, so quality inflections line up with the
-//     per-worker tracks of the Perfetto export.
+//     the series cmd/obsdiff compares and gates across runs.
 //
 // The discipline is the same as every other tier: kernels accumulate in
 // plain per-worker locals on the hot path and fold into a Probe only at
@@ -77,8 +75,8 @@ type QualityPoint struct {
 }
 
 // Probe is one named quality gauge: the latest value as float bits for
-// /metrics, plus an append into the Recorder's quality timeline and an
-// EvQuality flight event per recording. Fetch the handle once (the
+// /metrics, plus an append into the Recorder's quality timeline per
+// recording. Fetch the handle once (the
 // registry lookup takes the Recorder mutex) and Record at flush points
 // only. A nil Probe is the disabled state: Record no-ops without
 // allocating.
@@ -86,7 +84,6 @@ type Probe struct {
 	rec  *Recorder
 	name string
 	dir  QualityDir
-	mk   *Marker
 
 	latest   atomic.Uint64 // math.Float64bits of the last recorded value
 	recorded atomic.Bool
@@ -103,7 +100,7 @@ func (r *Recorder) Quality(name string, dir QualityDir) *Probe {
 	defer r.mu.Unlock()
 	p, ok := r.probes[name]
 	if !ok {
-		p = &Probe{rec: r, name: name, dir: dir, mk: r.flight.Marker(EvQuality, name)}
+		p = &Probe{rec: r, name: name, dir: dir}
 		r.probes[name] = p
 	}
 	return p
@@ -119,23 +116,14 @@ func (s *Span) Quality(name string, dir QualityDir) *Probe {
 }
 
 // Record records one observation of the metric at the given preservation
-// ratio (0 for ratio-less metrics), from off the worker pool. Nil-safe.
-func (p *Probe) Record(ratio, v float64) {
-	p.RecordAt(-1, ratio, v)
-}
-
-// RecordAt records one observation from worker slot (so the flight event
-// lands on the worker's own ring). Takes the timeline mutex — call at
+// ratio (0 for ratio-less metrics). Takes the timeline mutex — call at
 // coarse flush points and span ends, never per item. Nil-safe.
-func (p *Probe) RecordAt(slot int, ratio, v float64) {
+func (p *Probe) Record(ratio, v float64) {
 	if p == nil {
 		return
 	}
 	p.latest.Store(math.Float64bits(v))
 	p.recorded.Store(true)
-	// The flight payload is the value in micro-units, the same int64
-	// scaling as the crr.delta_abs_micros histogram.
-	p.mk.Emit(slot, int64(math.Round(v*1e6)))
 	pt := QualityPoint{
 		OffsetNs: time.Since(p.rec.start).Nanoseconds(),
 		Metric:   p.name,

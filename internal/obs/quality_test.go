@@ -27,7 +27,7 @@ func TestQualityProbeRecord(t *testing.T) {
 	}
 
 	d.Record(0.5, 120)
-	d.RecordAt(3, 0.5, 80)
+	d.Record(0.5, 80)
 	h.Record(0.5, 2.25)
 	i.Record(0, 4096)
 
@@ -88,26 +88,6 @@ func TestQualityProbeSameNameShared(t *testing.T) {
 	}
 }
 
-// TestQualityFlightEvents pins the third emission surface: every recording
-// lands an EvQuality event carrying the metric name and the micro-scaled
-// value.
-func TestQualityFlightEvents(t *testing.T) {
-	r := New("test")
-	r.Quality("bm2.matching_weight", DirHigher).RecordAt(2, 0.3, 1.5)
-	var got []Event
-	for _, e := range r.Flight().Events() {
-		if e.Kind == "quality" {
-			got = append(got, e)
-		}
-	}
-	if len(got) != 1 {
-		t.Fatalf("quality flight events = %d, want 1", len(got))
-	}
-	if got[0].Name != "bm2.matching_weight" || got[0].Arg != 1_500_000 || got[0].Slot != 2 {
-		t.Errorf("quality event = %+v, want name=bm2.matching_weight arg=1500000 slot=2", got[0])
-	}
-}
-
 // TestQualityConcurrentRecords drives probes from parallel workers — the
 // Sweep shape — under -race (make race), checking nothing tears and every
 // recording lands in the timeline.
@@ -117,7 +97,7 @@ func TestQualityConcurrentRecords(t *testing.T) {
 	par.Run(workers, func(w int) {
 		p := r.Quality("m", DirLower)
 		for i := 0; i < per; i++ {
-			p.RecordAt(w, 0.5, float64(i))
+			p.Record(0.5, float64(i))
 		}
 	})
 	if pts := r.QualityPoints(); len(pts) != workers*per {
@@ -204,29 +184,5 @@ func TestQualityDirString(t *testing.T) {
 		if got := dir.String(); got != want {
 			t.Errorf("QualityDir(%d).String() = %q, want %q", dir, got, want)
 		}
-	}
-}
-
-// TestTraceEventsQualityCounterTrack pins the Perfetto rendering: an
-// EvQuality flight event becomes both an instant event and a quality.*
-// counter-track sample in natural units.
-func TestTraceEventsQualityCounterTrack(t *testing.T) {
-	m := &Manifest{
-		Command: "shed",
-		Spans:   &SpanNode{Name: "shed", DurNs: 1000, Ended: true},
-		FlightEvents: []Event{
-			{TSNs: 500, Slot: 1, Kind: "quality", Name: "crr.delta", Arg: 2_500_000},
-		},
-	}
-	var sb strings.Builder
-	if err := WriteTraceEvents(&sb, m); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `"quality.crr.delta"`) {
-		t.Errorf("trace export missing the quality counter track:\n%s", out)
-	}
-	if !strings.Contains(out, `"value":2.5`) {
-		t.Errorf("trace export did not rescale micro-units:\n%s", out)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -21,8 +20,6 @@ import (
 //	                in Prometheus text exposition format
 //	/progress       the live span tree as JSON, with elapsed times, unit
 //	                progress and ETAs
-//	/events         the flight recorder's tail as JSON (?n= limits to the
-//	                last n events)
 //	/healthz        liveness probe, always "ok"
 //	/debug/pprof/   the standard net/http/pprof profile handlers
 //
@@ -49,19 +46,6 @@ func NewDebugHandler(rec *Recorder) http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(progressSnapshot(rec))
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		events := rec.Flight().Events()
-		if nStr := r.URL.Query().Get("n"); nStr != "" {
-			if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(events) {
-				events = events[len(events)-n:]
-			}
-		}
-		enc := json.NewEncoder(w)
-		enc.Encode(struct {
-			Events []Event `json:"events"`
-		}{Events: events})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -17,7 +17,6 @@ import (
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/obs"
-	"edgeshed/internal/par"
 	"edgeshed/internal/stream"
 )
 
@@ -151,65 +150,6 @@ func TestMetricsHelpAndHistograms(t *testing.T) {
 	}
 }
 
-// TestDebugHandlerEvents pins the /events endpoint: the flight recorder's
-// tail as JSON, with ?n= limiting to the newest n events.
-func TestDebugHandlerEvents(t *testing.T) {
-	rec := obs.New("shed")
-	mk := rec.Flight().Marker(obs.EvBatch, "serve")
-	for i := 0; i < 10; i++ {
-		mk.Emit(0, int64(i))
-	}
-
-	srv := httptest.NewServer(obs.NewDebugHandler(rec))
-	defer srv.Close()
-
-	var doc struct {
-		Events []obs.Event `json:"events"`
-	}
-	body, resp := get(t, srv.URL+"/events")
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("/events content type = %q", ct)
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/events is not JSON: %v\n%s", err, body)
-	}
-	var batches int
-	for _, e := range doc.Events {
-		if e.Kind == "batch" && e.Name == "serve" {
-			batches++
-		}
-	}
-	if batches != 10 {
-		t.Fatalf("/events returned %d batch events, want 10", batches)
-	}
-
-	body, _ = get(t, srv.URL+"/events?n=3")
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/events?n=3 is not JSON: %v", err)
-	}
-	if len(doc.Events) != 3 {
-		t.Fatalf("/events?n=3 returned %d events", len(doc.Events))
-	}
-	// The tail keeps the newest: the last emitted args.
-	if doc.Events[2].Arg != 9 {
-		t.Errorf("tail not the newest events: %+v", doc.Events)
-	}
-
-	// Without a recorder, /events degrades to an empty list.
-	nilSrv := httptest.NewServer(obs.NewDebugHandler(nil))
-	defer nilSrv.Close()
-	body, resp = get(t, nilSrv.URL+"/events")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/events without recorder = %d", resp.StatusCode)
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/events without recorder is not JSON: %v", err)
-	}
-	if len(doc.Events) != 0 {
-		t.Fatalf("/events without recorder returned events: %+v", doc.Events)
-	}
-}
-
 // TestDebugHandlerNilRecorder pins that the plane degrades gracefully with
 // no recorder: runtime metrics still flow, progress is an empty document.
 func TestDebugHandlerNilRecorder(t *testing.T) {
@@ -232,10 +172,9 @@ func TestDebugHandlerNilRecorder(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeDuringSweep is the issue's race check: /metrics,
-// /progress and /events are hammered from a goroutine while CRR.Sweep runs
-// at Workers=4 with the flight recorder installed as the par slot observer,
-// under -race in CI (make race), and the swept edge sets must be
+// TestConcurrentScrapeDuringSweep is the race check: /metrics and
+// /progress are hammered from a goroutine while CRR.Sweep runs at
+// Workers=4, under -race in CI (make race), and the swept edge sets must be
 // bit-identical to an unobserved, unscraped run.
 func TestConcurrentScrapeDuringSweep(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 7)
@@ -247,8 +186,6 @@ func TestConcurrentScrapeDuringSweep(t *testing.T) {
 	}
 
 	rec := obs.New("scrape-test")
-	prev := par.SetSlotObserver(rec.Flight())
-	defer par.SetSlotObserver(prev)
 	srv := httptest.NewServer(obs.NewDebugHandler(rec))
 	defer srv.Close()
 	stop := make(chan struct{})
@@ -262,7 +199,7 @@ func TestConcurrentScrapeDuringSweep(t *testing.T) {
 				return
 			default:
 			}
-			for _, path := range []string{"/metrics", "/progress", "/events"} {
+			for _, path := range []string{"/metrics", "/progress"} {
 				resp, err := http.Get(srv.URL + path)
 				if err != nil {
 					continue
@@ -284,10 +221,7 @@ func TestConcurrentScrapeDuringSweep(t *testing.T) {
 	for i := range want {
 		assertSameEdges(t, want[i].Reduced, got[i].Reduced)
 	}
-	// The observed run recorded real flight traffic and histograms.
-	if len(rec.Flight().Events()) == 0 {
-		t.Error("observed sweep emitted no flight events")
-	}
+	// The observed run recorded real histograms.
 	if hv := rec.HistogramValues(); hv["crr.sweep.ratio_ns"] == nil || hv["crr.sweep.ratio_ns"].Count != int64(len(ps)) {
 		t.Errorf("crr.sweep.ratio_ns histogram = %+v, want count %d", hv["crr.sweep.ratio_ns"], len(ps))
 	}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"runtime/trace"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,14 +18,18 @@ import (
 // Start/End use time.Now, whose monotonic clock component makes durations
 // immune to wall-clock adjustments. Concurrent children (a parallel sweep
 // starting one child per ratio) are safe: the child list is mutex-guarded.
+//
+// A span started while runtime/trace is on is also a trace task, nested
+// under its parent's task, so `go tool trace` shows the span tree on the
+// execution trace's clock (DESIGN.md §11).
 type Span struct {
 	rec   *Recorder
 	name  string
 	start time.Time
-	// nameID is the span name's flight-recorder intern id, resolved once at
-	// Start so the begin/end/busy events End and WorkerBusy emit stay off
-	// the intern mutex.
-	nameID uint32
+	// ctx and task are the span's runtime/trace task; both nil when the
+	// span started without tracing on.
+	ctx  context.Context
+	task *trace.Task
 
 	// total and done are the span's optional unit-progress counts (BFS
 	// sources completed, sweep ratios finished, suite tasks done). They are
@@ -50,13 +56,25 @@ func (s *Span) Start(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	child := &Span{rec: s.rec, name: name, start: time.Now()}
-	child.nameID = s.rec.flight.intern(name)
+	parent := s.ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	child := newSpan(s.rec, parent, name)
 	s.mu.Lock()
 	s.children = append(s.children, child)
 	s.mu.Unlock()
-	s.rec.flight.emit(-1, EvSpanBegin, child.nameID, 0)
 	return child
+}
+
+// newSpan starts a span, and a trace task under parent when runtime/trace
+// is on.
+func newSpan(rec *Recorder, parent context.Context, name string) *Span {
+	s := &Span{rec: rec, name: name, start: time.Now()}
+	if trace.IsEnabled() {
+		s.ctx, s.task = trace.NewTask(parent, name)
+	}
+	return s
 }
 
 // End fixes the span's duration. Multiple Ends keep the first; a span never
@@ -72,8 +90,8 @@ func (s *Span) End() {
 		s.ended = true
 	}
 	s.mu.Unlock()
-	if first {
-		s.rec.flight.emit(-1, EvSpanEnd, s.nameID, s.dur.Nanoseconds())
+	if first && s.task != nil {
+		s.task.End()
 	}
 }
 
@@ -91,10 +109,6 @@ func (s *Span) WorkerBusy(w int, d time.Duration) {
 	}
 	s.workerBusy[w] += d
 	s.mu.Unlock()
-	// The busy stretch also lands in the flight recorder, stamped at its
-	// end with its length as the payload — the trace export rebuilds the
-	// per-worker busy slices from these.
-	s.rec.flight.emit(w, EvWorkerBusy, s.nameID, d.Nanoseconds())
 }
 
 // SetTotal declares how many work units the span expects to complete, the

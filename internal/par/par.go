@@ -25,7 +25,6 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Shards is the fixed accumulation-shard count for deterministic
@@ -55,61 +54,12 @@ func Workers(requested, items int) int {
 	return w
 }
 
-// SlotObserver is how par reports worker-slot identity to an observability
-// layer: SlotBegin(w, workers) fires when slot w of a workers-wide region
-// starts and SlotEnd when it finishes, on the slot's own goroutine. par
-// stays import-free of obs; obs installs its flight recorder here
-// (DESIGN.md §11).
-//
-// Implementations must not feed back into worker scheduling or kernel
-// state — the bit-identity discipline above depends on observation staying
-// read-only.
-type SlotObserver interface {
-	SlotBegin(w, workers int)
-	SlotEnd(w, workers int)
-}
-
-// slotObsBox wraps the observer so atomic.Value always stores one concrete
-// type (a requirement of Value.Store), including the nil observer.
-type slotObsBox struct{ o SlotObserver }
-
-var slotObs atomic.Value // holds slotObsBox
-
-// SetSlotObserver installs o (nil uninstalls) as the process-wide slot
-// observer and returns the previous one, so a session can restore its
-// predecessor on Close. The load on the hot path is one atomic read; with
-// no observer installed Run and Blocks behave exactly as before.
-func SetSlotObserver(o SlotObserver) (prev SlotObserver) {
-	if b, ok := slotObs.Load().(slotObsBox); ok {
-		prev = b.o
-	}
-	slotObs.Store(slotObsBox{o: o})
-	return prev
-}
-
-// slotObserver returns the installed observer, or nil.
-func slotObserver() SlotObserver {
-	if b, ok := slotObs.Load().(slotObsBox); ok {
-		return b.o
-	}
-	return nil
-}
-
 // Run invokes fn(w) for every worker index w in [0, workers) and waits for
 // all of them. With workers == 1 it calls fn inline, so serial runs pay no
 // goroutine or synchronization cost. fn receives only its worker index;
 // sharding is the caller's business (stride over items, or use Blocks).
-//
-// If a SlotObserver is installed, each slot's run is bracketed with
-// SlotBegin/SlotEnd on the slot's goroutine (the inline workers == 1 path
-// included), which is how the obs trace export attributes time to workers.
 func Run(workers int, fn func(w int)) {
-	obs := slotObserver()
 	if workers <= 1 {
-		if obs != nil {
-			obs.SlotBegin(0, 1)
-			defer obs.SlotEnd(0, 1)
-		}
 		fn(0)
 		return
 	}
@@ -118,10 +68,6 @@ func Run(workers int, fn func(w int)) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			if obs != nil {
-				obs.SlotBegin(w, workers)
-				defer obs.SlotEnd(w, workers)
-			}
 			fn(w)
 		}(w)
 	}
@@ -153,10 +99,6 @@ func Block(n, workers, w int) (lo, hi int) {
 func Blocks(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 {
 		if n > 0 {
-			if obs := slotObserver(); obs != nil {
-				obs.SlotBegin(0, 1)
-				defer obs.SlotEnd(0, 1)
-			}
 			fn(0, 0, n)
 		}
 		return

@@ -142,84 +142,3 @@ func TestBlocksSkipsEmptyRanges(t *testing.T) {
 		t.Errorf("fn called %d times for 2 items, want 2", calls)
 	}
 }
-
-// countingObserver records SlotBegin/SlotEnd calls per slot.
-type countingObserver struct {
-	begins, ends [64]int32
-	workersSeen  int32
-}
-
-func (c *countingObserver) SlotBegin(w, workers int) {
-	atomic.AddInt32(&c.begins[w], 1)
-	atomic.StoreInt32(&c.workersSeen, int32(workers))
-}
-
-func (c *countingObserver) SlotEnd(w, workers int) {
-	atomic.AddInt32(&c.ends[w], 1)
-}
-
-// TestSlotObserver pins the worker-slot identity seam: an installed
-// observer sees exactly one SlotBegin/SlotEnd pair per slot carrying the
-// region's worker count, on both the inline (workers=1) and goroutine
-// paths, and SetSlotObserver returns the previous observer for restoring.
-func TestSlotObserver(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		obs := &countingObserver{}
-		prev := SetSlotObserver(obs)
-		Run(workers, func(w int) {})
-		SetSlotObserver(prev)
-		for w := 0; w < workers; w++ {
-			if obs.begins[w] != 1 || obs.ends[w] != 1 {
-				t.Errorf("workers=%d slot %d: begins=%d ends=%d, want 1/1",
-					workers, w, obs.begins[w], obs.ends[w])
-			}
-		}
-		if obs.begins[workers] != 0 {
-			t.Errorf("workers=%d: phantom slot %d observed", workers, workers)
-		}
-		if obs.workersSeen != int32(workers) {
-			t.Errorf("workers=%d: observer told workers=%d", workers, obs.workersSeen)
-		}
-	}
-}
-
-// TestSlotObserverBlocks pins the Blocks-path bracketing and that an
-// uninstalled observer stays silent.
-func TestSlotObserverBlocks(t *testing.T) {
-	obs := &countingObserver{}
-	prev := SetSlotObserver(obs)
-	Blocks(100, 4, func(w, lo, hi int) {})
-	SetSlotObserver(prev)
-	var total int32
-	for w := 0; w < 4; w++ {
-		total += obs.begins[w]
-		if obs.begins[w] != obs.ends[w] {
-			t.Errorf("slot %d: begins=%d ends=%d unbalanced", w, obs.begins[w], obs.ends[w])
-		}
-	}
-	if total == 0 {
-		t.Error("Blocks bracketed no slots")
-	}
-	// After restore, the old (nil) observer is back: no further counts.
-	before := obs.begins[0]
-	Run(2, func(w int) {})
-	if obs.begins[0] != before {
-		t.Error("uninstalled observer still sees slots")
-	}
-}
-
-// TestSetSlotObserverReturnsPrev pins the save/restore contract used by
-// obs.Session: install A, install B over it (getting A back), restore.
-func TestSetSlotObserverReturnsPrev(t *testing.T) {
-	a := &countingObserver{}
-	orig := SetSlotObserver(a)
-	b := &countingObserver{}
-	if got := SetSlotObserver(b); got != SlotObserver(a) {
-		t.Fatalf("SetSlotObserver returned %v, want the prior observer", got)
-	}
-	Run(2, func(w int) {})
-	SetSlotObserver(orig)
-	if a.begins[0] != 0 || b.begins[0] != 1 {
-		t.Fatalf("replaced observer saw traffic: a=%d b=%d", a.begins[0], b.begins[0])
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/obs"
-	"edgeshed/internal/par"
 )
 
 // dropEveryThird builds a "reduced" graph by shedding every third edge of g,
@@ -71,10 +70,8 @@ func TestSuiteBitIdenticalWithObs(t *testing.T) {
 		s := Suite{Sources: 64, MaxPairs: 2000, Seed: 5, SkipEmbedding: true, Workers: workers}
 		want := s.Evaluate(g, red)
 		rec := obs.New("test")
-		prev := par.SetSlotObserver(rec.Flight())
 		s.Obs = rec.Root()
 		got := s.Evaluate(g, red)
-		par.SetSlotObserver(prev)
 		rec.Root().End()
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d measurements with obs, want %d", workers, len(got), len(want))
@@ -96,14 +93,10 @@ func TestSuiteBitIdenticalWithObs(t *testing.T) {
 		if vals["bfs.sources_done"] == 0 || vals["betweenness.sources_done"] == 0 || vals["pagerank.iterations"] == 0 {
 			t.Fatalf("workers=%d: kernel counters missing: %v", workers, vals)
 		}
-		// PR-9 surfaces: the MS-BFS kernels under the suite feed the batch
-		// histograms and the flight ring records slot/batch traffic.
+		// The MS-BFS kernels under the suite feed the batch histograms.
 		hists := rec.HistogramValues()
 		if hists["msbfs.batch_ns"] == nil || hists["msbfs.batch_ns"].Count == 0 {
 			t.Fatalf("workers=%d: msbfs.batch_ns histogram missing or empty", workers)
-		}
-		if len(rec.Flight().Events()) == 0 {
-			t.Fatalf("workers=%d: flight ring stayed empty", workers)
 		}
 	}
 }
