@@ -1,14 +1,14 @@
-// Command gpack converts graphs into the mmap-able ESC packed-CSR format,
-// so SNAP-scale edge lists parse once and load in milliseconds ever after.
-// It also re-packs an existing .esc file, for example into degree order.
+// Command gpack converts text edge lists into the mmap-able ESC packed-CSR
+// format, so SNAP-scale edge lists parse once and load in milliseconds ever
+// after. The packed file keeps the text loader's dense ids, so it loads into
+// exactly the graph the edge list does.
 //
 // Usage:
 //
 //	gpack -in com-lj.txt -out com-lj.esc
 //	gpack -in com-lj.txt -out com-lj.esc -mem 256MiB   # out-of-core
-//	gpack -in graph.esc -out graph.deg.esc -order degree
 //
-// Without -mem the input graph is loaded in RAM and packed with
+// Without -mem the edge list is loaded in RAM and packed with
 // graph.WritePackedFile. With -mem the edge list is streamed through the
 // bounded-memory external-sort packer (graph.PackEdgeListFile): edge keys
 // spill to sorted temp runs and the CSR arrays are filled through a
@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,10 +31,9 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "input graph: edge list or .esc packed (required)")
+		in      = flag.String("in", "", "input text edge list (required)")
 		out     = flag.String("out", "", "output .esc file (required)")
-		order   = flag.String("order", "keep", "dense-id order: keep (ids bit-identical to the text loader's) or degree (degree-descending relabel for locality)")
-		mem     = flag.String("mem", "", "external-sort memory budget, e.g. 256MiB (suffixes K/M/G, binary); empty packs in RAM. Out-of-core packing reads text edge lists and implies -order keep")
+		mem     = flag.String("mem", "", "external-sort memory budget, e.g. 256MiB (suffixes K/M/G, binary); empty packs in RAM")
 		tmp     = flag.String("tmp", "", "spill directory for -mem runs (default: the system temp dir)")
 		workers = flag.Int("workers", 0, "parse worker goroutines (0 = GOMAXPROCS); output is identical at any count")
 		verify  = flag.Bool("verify", false, "re-open and fully validate the output after packing")
@@ -45,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gpack:", err)
 		os.Exit(1)
 	}
-	runErr := obs.Run(sess, func() error { return run(*in, *out, *order, *mem, *tmp, *workers, *verify, sess) })
+	runErr := obs.Run(sess, func() error { return run(*in, *out, *mem, *tmp, *workers, *verify, sess) })
 	if cerr := sess.Close(); runErr == nil {
 		runErr = cerr
 	}
@@ -55,21 +55,15 @@ func main() {
 	}
 }
 
-func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Session) error {
+func run(in, out, mem, tmp string, workers int, verify bool, sess *obs.Session) error {
 	if in == "" || out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
 	if !strings.HasSuffix(out, ".esc") {
 		return fmt.Errorf("-out must end in .esc (got %q)", out)
 	}
-	var ord graph.Order
-	switch order {
-	case "keep":
-		ord = graph.OrderKeep
-	case "degree":
-		ord = graph.OrderDegree
-	default:
-		return fmt.Errorf("unknown -order %q (want keep or degree)", order)
+	if strings.HasSuffix(in, ".esc") || strings.HasSuffix(in, ".esg") {
+		return fmt.Errorf("-in must be a text edge list; %q is a packed graph", in)
 	}
 	budget, err := parseBytes(mem)
 	if err != nil {
@@ -77,12 +71,6 @@ func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Se
 	}
 
 	if budget > 0 {
-		if ord != graph.OrderKeep {
-			return fmt.Errorf("-mem (out-of-core) supports -order keep only: degree relabeling needs the whole graph in RAM")
-		}
-		if strings.HasSuffix(in, ".esc") || strings.HasSuffix(in, ".esg") {
-			return fmt.Errorf("-mem (out-of-core) reads text edge lists; %q is not one", in)
-		}
 		stats, err := graph.PackEdgeListFile(in, out, graph.PackOptions{
 			MemBudget: budget,
 			TmpDir:    tmp,
@@ -104,12 +92,12 @@ func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Se
 		}
 		sess.SetGraph(g.NumNodes(), g.NumEdges())
 		pack := sess.Root().Start("pack")
-		err = graph.WritePackedFile(out, g, rm, graph.PackWriteOptions{Order: ord})
+		err = graph.WritePackedFile(out, g, rm)
 		pack.End()
 		if err != nil {
 			return err
 		}
-		sess.Logf("packed %s → %s: |V|=%d |E|=%d, order=%s", in, out, g.NumNodes(), g.NumEdges(), order)
+		sess.Logf("packed %s → %s: |V|=%d |E|=%d", in, out, g.NumNodes(), g.NumEdges())
 	}
 
 	if verify {
@@ -132,7 +120,7 @@ func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Se
 
 // parseBytes parses a human byte size: a plain integer is bytes, and the
 // binary suffixes K/KB/KiB, M/MB/MiB, G/GB/GiB scale by 2^10, 2^20, 2^30.
-// Empty means 0 (no budget).
+// Empty means 0 (no budget); a size past math.MaxInt64 bytes is an error.
 func parseBytes(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -160,6 +148,9 @@ func parseBytes(s string) (int64, error) {
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("byte size %q is negative", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q overflows int64", s)
 	}
 	return v * mult, nil
 }

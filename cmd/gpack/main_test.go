@@ -31,10 +31,10 @@ func TestRunInRAMAndOutOfCoreAgree(t *testing.T) {
 	in := writeSparseGraph(t, dir)
 	ram := filepath.Join(dir, "ram.esc")
 	ext := filepath.Join(dir, "ext.esc")
-	if err := run(in, ram, "keep", "", "", 0, true, nil); err != nil {
+	if err := run(in, ram, "", "", 0, true, nil); err != nil {
 		t.Fatalf("in-RAM pack: %v", err)
 	}
-	if err := run(in, ext, "keep", "2KiB", dir, 2, true, nil); err != nil {
+	if err := run(in, ext, "2KiB", dir, 2, true, nil); err != nil {
 		t.Fatalf("out-of-core pack: %v", err)
 	}
 	a, err := os.ReadFile(ram)
@@ -68,25 +68,22 @@ func TestRunInRAMAndOutOfCoreAgree(t *testing.T) {
 	}
 }
 
+// TestRunRepack pins that gpack reads text edge lists only: an .esc input
+// is refused in RAM and out of core, and the output is not written.
 func TestRunRepack(t *testing.T) {
 	dir := t.TempDir()
-	in := writeSparseGraph(t, dir)
 	esc := filepath.Join(dir, "a.esc")
-	if err := run(in, esc, "keep", "", "", 0, false, nil); err != nil {
+	if err := run(writeSparseGraph(t, dir), esc, "", "", 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	// .esc → .esc (repack) and .esc → degree order both go through LoadFile.
 	re := filepath.Join(dir, "b.esc")
-	if err := run(esc, re, "degree", "", "", 0, true, nil); err != nil {
-		t.Fatalf("repack with degree order: %v", err)
+	for _, mem := range []string{"", "1MiB"} {
+		if err := run(esc, re, mem, "", 0, false, nil); err == nil {
+			t.Errorf("repack of an .esc input accepted (-mem %q)", mem)
+		}
 	}
-	p, err := graph.OpenPacked(re)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if !p.DegreeOrdered {
-		t.Error("degree-ordered repack lost the flag")
+	if _, err := os.Stat(re); !os.IsNotExist(err) {
+		t.Errorf("refused repack left an output file: %v", err)
 	}
 }
 
@@ -94,30 +91,17 @@ func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	in := writeSparseGraph(t, dir)
 	out := filepath.Join(dir, "o.esc")
-	if err := run("", out, "keep", "", "", 0, false, nil); err == nil {
+	if err := run("", out, "", "", 0, false, nil); err == nil {
 		t.Error("missing -in accepted")
 	}
-	if err := run(in, "", "keep", "", "", 0, false, nil); err == nil {
+	if err := run(in, "", "", "", 0, false, nil); err == nil {
 		t.Error("missing -out accepted")
 	}
-	if err := run(in, filepath.Join(dir, "o.txt"), "keep", "", "", 0, false, nil); err == nil {
+	if err := run(in, filepath.Join(dir, "o.txt"), "", "", 0, false, nil); err == nil {
 		t.Error("non-.esc output accepted")
 	}
-	if err := run(in, out, "bogus", "", "", 0, false, nil); err == nil {
-		t.Error("unknown order accepted")
-	}
-	if err := run(in, out, "keep", "lots", "", 0, false, nil); err == nil {
+	if err := run(in, out, "lots", "", 0, false, nil); err == nil {
 		t.Error("malformed -mem accepted")
-	}
-	if err := run(in, out, "degree", "1MiB", "", 0, false, nil); err == nil {
-		t.Error("-mem with -order degree accepted")
-	}
-	esc := filepath.Join(dir, "in.esc")
-	if err := run(in, esc, "keep", "", "", 0, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(esc, out, "keep", "1MiB", "", 0, false, nil); err == nil {
-		t.Error("out-of-core pack of an already-packed input accepted")
 	}
 }
 
@@ -140,6 +124,9 @@ func TestParseBytes(t *testing.T) {
 		{"-1", 0, true},
 		{"x", 0, true},
 		{"1TiB", 0, true},
+		{"8589934591G", 8589934591 << 30, false},
+		{"8589934592G", 0, true},
+		{"9223372036854775807", 1<<63 - 1, false},
 	}
 	for _, c := range cases {
 		got, err := parseBytes(c.in)

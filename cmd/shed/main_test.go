@@ -319,7 +319,7 @@ func TestRunPackedInputBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	esc := filepath.Join(dir, "g.esc")
-	if err := graph.WritePackedFile(esc, lg, lrm, graph.PackWriteOptions{}); err != nil {
+	if err := graph.WritePackedFile(esc, lg, lrm); err != nil {
 		t.Fatal(err)
 	}
 

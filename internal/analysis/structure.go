@@ -126,68 +126,6 @@ func MaxCore(g *graph.Graph) int {
 	return max
 }
 
-// CoreSizes returns, for k = 0..MaxCore, how many nodes have core number
-// >= k (the k-core size profile).
-func CoreSizes(g *graph.Graph) []int {
-	core := KCore(g)
-	max := 0
-	for _, c := range core {
-		if c > max {
-			max = c
-		}
-	}
-	sizes := make([]int, max+1)
-	for _, c := range core {
-		for k := 0; k <= c; k++ {
-			sizes[k]++
-		}
-	}
-	return sizes
-}
-
-// RichClub returns the rich-club coefficient φ(k) for each degree threshold
-// k: the density among nodes of degree > k. A rising φ(k) means hubs
-// preferentially interconnect — the structure CRR's centrality ranking
-// tends to preserve. Thresholds with fewer than two qualifying nodes get 0.
-func RichClub(g *graph.Graph) []float64 {
-	maxDeg := g.MaxDegree()
-	phi := make([]float64, maxDeg+1)
-	if maxDeg == 0 {
-		return phi
-	}
-	// For each k: N_k = #nodes with degree > k, E_k = #edges with both
-	// endpoints of degree > k. Computed by sorting thresholds implicitly:
-	// count per exact degree, then suffix sums.
-	nodesAbove := make([]int, maxDeg+2)
-	for u := 0; u < g.NumNodes(); u++ {
-		nodesAbove[g.Degree(graph.NodeID(u))]++
-	}
-	for k := maxDeg - 1; k >= 0; k-- {
-		nodesAbove[k] += nodesAbove[k+1]
-	}
-	// edgesAbove[k] = edges whose min endpoint degree > k: bucket each edge
-	// at its min endpoint degree, then suffix-sum.
-	edgesAbove := make([]int, maxDeg+2)
-	for _, e := range g.Edges() {
-		du, dv := g.Degree(e.U), g.Degree(e.V)
-		if dv < du {
-			du = dv
-		}
-		edgesAbove[du]++
-	}
-	for k := maxDeg - 1; k >= 0; k-- {
-		edgesAbove[k] += edgesAbove[k+1]
-	}
-	for k := 0; k <= maxDeg; k++ {
-		n := nodesAbove[k+1]
-		if n < 2 {
-			continue
-		}
-		phi[k] = float64(edgesAbove[k+1]) / (float64(n) * float64(n-1) / 2)
-	}
-	return phi
-}
-
 // GiniDegree returns the Gini coefficient of the degree sequence, a scalar
 // summary of degree inequality useful for checking that shedding preserved
 // the heavy tail. Returns 0 for empty or degree-uniform graphs.

@@ -128,64 +128,6 @@ func TestKCoreInvariant(t *testing.T) {
 	}
 }
 
-func TestCoreSizes(t *testing.T) {
-	g := gen.Complete(4)
-	sizes := CoreSizes(g)
-	// All 4 nodes are in cores 0..3.
-	if len(sizes) != 4 {
-		t.Fatalf("len(sizes) = %d, want 4", len(sizes))
-	}
-	for k, s := range sizes {
-		if s != 4 {
-			t.Errorf("sizes[%d] = %d, want 4", k, s)
-		}
-	}
-}
-
-func TestRichClub(t *testing.T) {
-	// Two K3 hubs joined, each with pendant leaves: high-degree nodes are
-	// densely interconnected, so φ rises with k.
-	b := graph.NewBuilder(9)
-	// Core triangle 0-1-2.
-	b.TryAddEdge(0, 1)
-	b.TryAddEdge(1, 2)
-	b.TryAddEdge(0, 2)
-	// Two leaves per core node.
-	for i := 0; i < 3; i++ {
-		b.TryAddEdge(graph.NodeID(i), graph.NodeID(3+2*i))
-		b.TryAddEdge(graph.NodeID(i), graph.NodeID(4+2*i))
-	}
-	g := b.Graph()
-	phi := RichClub(g)
-	// Above degree 1: only core nodes (degree 4) remain → density 1.
-	if math.Abs(phi[1]-1) > 1e-9 {
-		t.Errorf("φ(1) = %v, want 1 (core is a clique)", phi[1])
-	}
-	// Above degree 0: all 9 nodes, 9 edges, density 9/36.
-	if math.Abs(phi[0]-0.25) > 1e-9 {
-		t.Errorf("φ(0) = %v, want 0.25", phi[0])
-	}
-	// Thresholds beyond the max degree have no club.
-	if phi[4] != 0 {
-		t.Errorf("φ(4) = %v, want 0", phi[4])
-	}
-}
-
-func TestRichClubEmptyAndRegular(t *testing.T) {
-	var empty graph.Graph
-	if got := RichClub(&empty); len(got) != 1 || got[0] != 0 {
-		t.Errorf("empty rich club = %v", got)
-	}
-	// Cycle: above degree 1 everything remains; above 2 nothing.
-	phi := RichClub(gen.Cycle(6))
-	if math.Abs(phi[1]-6.0/15.0) > 1e-9 {
-		t.Errorf("C6 φ(1) = %v, want 0.4", phi[1])
-	}
-	if phi[2] != 0 {
-		t.Errorf("C6 φ(2) = %v, want 0", phi[2])
-	}
-}
-
 func TestGiniDegree(t *testing.T) {
 	// Regular graph: perfect equality → 0.
 	if got := GiniDegree(gen.Cycle(10)); math.Abs(got) > 1e-9 {

@@ -32,7 +32,7 @@ func FuzzOpenPacked(f *testing.F) {
 		labels[u] = int64(1000 + 7*u)
 	}
 	var buf bytes.Buffer
-	if err := graph.WritePacked(&buf, g, graph.RemapperFromLabels(labels), graph.PackWriteOptions{}); err != nil {
+	if err := graph.WritePacked(&buf, g, graph.RemapperFromLabels(labels)); err != nil {
 		f.Fatal(err)
 	}
 	base := buf.Bytes()

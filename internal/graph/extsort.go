@@ -64,8 +64,7 @@ type PackStats struct {
 // PackEdgeListFile streams the SNAP edge list at inPath into an ESC
 // packed-CSR file at outPath under a bounded memory budget, so graphs
 // larger than RAM can be packed. The output is byte-identical to loading
-// the list in RAM and calling WritePackedFile with OrderKeep; degree
-// relabeling needs the whole graph and therefore that in-RAM path.
+// the list in RAM and calling WritePackedFile.
 func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, error) {
 	if !hostLittleEndian {
 		return nil, fmt.Errorf("graph: external-sort packing writes through a little-endian mapping and is unsupported on big-endian hosts; use the in-RAM packer")
@@ -74,10 +73,7 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	if budget <= 0 {
 		budget = defaultMemBudget
 	}
-	capKeys := int(budget / 8)
-	if capKeys < 16 {
-		capKeys = 16
-	}
+	capKeys := max(budget/8, 16)
 
 	tmpDir, err := os.MkdirTemp(opt.TmpDir, "escpack-*")
 	if err != nil {
@@ -93,6 +89,11 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	elOpt := EdgeListOptions{Workers: opt.Workers, Obs: opt.Obs}
 	if fi, err := in.Stat(); err == nil {
 		elOpt.TotalBytes = fi.Size()
+		// Every key comes from a pair line of at least 3 bytes plus its
+		// newline (the last line may lack one), so a buffer of this many
+		// keys holds the whole input and never spills: small inputs do not
+		// reserve the full budget up front.
+		capKeys = min(capKeys, (fi.Size()+1)/4+1)
 	}
 
 	// Spill phase: buffer keys, and each time the budget fills, sort +

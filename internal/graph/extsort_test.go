@@ -3,6 +3,7 @@ package graph
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestExternalSortPackMatchesInRAM(t *testing.T) {
 	// In-RAM reference.
 	g, rm := loadTestGraph(t, text)
 	ramPath := filepath.Join(dir, "ram.esc")
-	if err := WritePackedFile(ramPath, g, rm, PackWriteOptions{}); err != nil {
+	if err := WritePackedFile(ramPath, g, rm); err != nil {
 		t.Fatalf("WritePackedFile: %v", err)
 	}
 
@@ -83,12 +84,20 @@ func TestExternalSortPackNoSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	outPath := filepath.Join(dir, "g.esc")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	stats, err := PackEdgeListFile(inPath, outPath, PackOptions{})
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("PackEdgeListFile: %v", err)
 	}
 	if stats.SpillChunks != 0 || stats.SpilledKeys != 0 {
 		t.Errorf("tiny input spilled: %d chunks, %d keys", stats.SpillChunks, stats.SpilledKeys)
+	}
+	// The key buffer is sized to the input, not to the 256 MiB default
+	// budget.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Errorf("packing a 4-line input allocated %d bytes, want under 16 MiB", alloc)
 	}
 	if stats.Nodes != 3 || stats.Edges != 2 {
 		t.Errorf("stats |V|=%d |E|=%d, want 3 and 2", stats.Nodes, stats.Edges)

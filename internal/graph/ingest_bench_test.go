@@ -25,7 +25,7 @@ func benchIngestFixture(b *testing.B, dir string) (txtPath, escPath string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := WritePackedFile(escPath, g, rm, PackWriteOptions{}); err != nil {
+	if err := WritePackedFile(escPath, g, rm); err != nil {
 		b.Fatal(err)
 	}
 	return txtPath, escPath

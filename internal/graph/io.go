@@ -89,7 +89,7 @@ func LoadFileObs(path string, sp *obs.Span) (*Graph, *Remapper, error) {
 func SaveFile(path string, g *Graph, rm *Remapper) error {
 	switch {
 	case strings.HasSuffix(path, ".esc"):
-		return WritePackedFile(path, g, rm, PackWriteOptions{})
+		return WritePackedFile(path, g, rm)
 	case strings.HasSuffix(path, ".esg"):
 		return errRetiredESG(path)
 	case strings.HasSuffix(path, ".dot"):

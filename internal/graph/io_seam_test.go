@@ -43,7 +43,7 @@ func TestSaveFileCloseErrorPropagates(t *testing.T) {
 	if err := WriteEdgeListFile("g.txt", g, nil); !errors.Is(err, closeErr) {
 		t.Errorf("WriteEdgeListFile = %v, want the close error", err)
 	}
-	if err := WritePackedFile("g.esc", g, nil, PackWriteOptions{}); !errors.Is(err, closeErr) {
+	if err := WritePackedFile("g.esc", g, nil); !errors.Is(err, closeErr) {
 		t.Errorf("WritePackedFile = %v, want the close error", err)
 	}
 }

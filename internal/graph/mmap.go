@@ -43,9 +43,6 @@ type PackedGraph struct {
 	g       *Graph
 	rm      *Remapper
 	release func() error
-	// DegreeOrdered reports whether the file was packed with OrderDegree:
-	// dense ids are a degree-descending relabeling of the original input's.
-	DegreeOrdered bool
 }
 
 // Graph returns the loaded graph. Valid until Close.
@@ -112,16 +109,6 @@ func openPackedObs(path string, sp *obs.Span) (*PackedGraph, error) {
 	return p, nil
 }
 
-// LoadPackedFile is OpenPacked for callers that keep the graph for the
-// process lifetime: the mapping is intentionally never unmapped.
-func LoadPackedFile(path string) (*Graph, *Remapper, error) {
-	p, err := OpenPacked(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Graph(), p.Remapper(), nil
-}
-
 // loadPacked builds the graph view over a complete ESC image.
 func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 	h, l, err := parsePackHeader(data, size)
@@ -142,15 +129,6 @@ func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 	if err := validatePacked(c, edges); err != nil {
 		return nil, err
 	}
-	// The header sits outside the payload CRC, so the degree-ordered flag
-	// is checked against the degrees it claims to describe.
-	if h.flags&packFlagDegreeOrdered != 0 {
-		for u := 1; u < n; u++ {
-			if c.Offsets[u+1]-c.Offsets[u] > c.Offsets[u]-c.Offsets[u-1] {
-				return nil, fmt.Errorf("graph: packed file claims degree-ordered ids, but deg(%d) > deg(%d)", u, u-1)
-			}
-		}
-	}
 	// The graph's own arrays alias the mapped sections validatePacked just
 	// checked, and the slot index is already on disk: mark the lazy build
 	// done so g.CSR() returns the mapped view instead of rebuilding it.
@@ -163,11 +141,7 @@ func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 	} else {
 		rm = RemapperFromLabels(viewInt64s(data, l.labelsOff, n))
 	}
-	return &PackedGraph{
-		g:             g,
-		rm:            rm,
-		DegreeOrdered: h.flags&packFlagDegreeOrdered != 0,
-	}, nil
+	return &PackedGraph{g: g, rm: rm}, nil
 }
 
 // viewInt32s returns count int32s at byte offset off — aliasing the data

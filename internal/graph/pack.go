@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"edgeshed/internal/par"
 )
@@ -22,8 +21,7 @@ import (
 //	header (64 bytes)
 //	  [0:4)   magic "ESC1"
 //	  [4:8)   uint32 format version (currently 2)
-//	  [8:16)  uint64 flags (packFlagDegreeOrdered, packFlagIdentityLabels;
-//	          every other bit zero)
+//	  [8:16)  uint64 flags (packFlagIdentityLabels; every other bit zero)
 //	  [16:24) uint64 |V|
 //	  [24:32) uint64 |E|
 //	  [32:40) uint64 CRC-32C (Castagnoli) of the payload in the low 32
@@ -58,39 +56,20 @@ const packVersion = 2
 // packHeaderSize is the fixed byte size of the ESC header.
 const packHeaderSize = 64
 
-// ESC header flag bits.
+// ESC header flag bits. Bit 0 is retired (it marked a degree-relabelled
+// layout) and refused as unknown.
 const (
-	// packFlagDegreeOrdered marks a file whose dense ids were relabelled in
-	// degree-descending order at pack time (OrderDegree).
-	packFlagDegreeOrdered = 1 << 0
 	// packFlagIdentityLabels marks a file with no Labels section: dense id
 	// u carries external label u.
 	packFlagIdentityLabels = 1 << 1
 	// packFlagsKnown is every flag bit this version defines.
-	packFlagsKnown = packFlagDegreeOrdered | packFlagIdentityLabels
+	packFlagsKnown = packFlagIdentityLabels
 )
 
 // castagnoli is the CRC-32C table used for payload checksums; the
 // Castagnoli polynomial is hardware-accelerated on amd64 and arm64, so
 // checksumming runs at memory speed.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Order selects the dense-id layout of a packed graph.
-type Order int
-
-// The supported packing orders.
-const (
-	// OrderKeep preserves the graph's existing dense ids, so a packed file
-	// loads into the exact CSR the in-RAM build would produce — seeded
-	// algorithms give bit-identical results from either path.
-	OrderKeep Order = iota
-	// OrderDegree relabels nodes in degree-descending order (ties by old
-	// id) before packing. High-degree hubs land at the front of every
-	// array, improving locality for traversal kernels — but the relabeling
-	// changes edge ids and therefore seeded tie-breaks, so results are
-	// equivalent, not bit-identical, to the unpacked graph's.
-	OrderDegree
-)
 
 // packLayout computes the byte offsets of every ESC section for a graph
 // with n nodes and m edges. Offsets are relative to the start of the file;
@@ -129,13 +108,6 @@ func newPackLayout(n, m int, identity bool) packLayout {
 	return l
 }
 
-// PackWriteOptions tunes WritePacked.
-type PackWriteOptions struct {
-	// Order selects the dense-id layout; the default OrderKeep preserves
-	// the graph's ids bit-for-bit.
-	Order Order
-}
-
 // identityLabels reports whether rm maps every dense id in [0, n) to
 // itself — in which case the Labels section is omitted and the file carries
 // the identity-labels flag. A nil remapper is identity by definition.
@@ -154,21 +126,14 @@ func identityLabels(rm *Remapper, n int) bool {
 // WritePacked writes g in the ESC packed-CSR format. If rm is non-nil its
 // labels are stored so the packed file round-trips the original external
 // node ids; a nil rm stores identity labels. The write streams in two
-// passes (one to checksum, one to emit), so w needs no seeking.
-func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) error {
-	if err := csrBounds(g.NumNodes(), g.NumEdges()); err != nil {
+// passes (one to checksum, one to emit), so w needs no seeking. The dense
+// ids are written as g holds them, so the file loads into exactly g.
+func WritePacked(w io.Writer, g *Graph, rm *Remapper) error {
+	n, m := g.NumNodes(), g.NumEdges()
+	if err := csrBounds(n, m); err != nil {
 		return err
 	}
 	var flags uint64
-	if opt.Order == OrderDegree {
-		var err error
-		g, rm, err = relabelByDegree(g, rm)
-		if err != nil {
-			return err
-		}
-		flags |= packFlagDegreeOrdered
-	}
-	n, m := g.NumNodes(), g.NumEdges()
 	identity := identityLabels(rm, n)
 	if identity {
 		flags |= packFlagIdentityLabels
@@ -212,8 +177,8 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 
 // WritePackedFile writes g to path in the ESC format, creating or
 // truncating the file.
-func WritePackedFile(path string, g *Graph, rm *Remapper, opt PackWriteOptions) error {
-	return writeFileWith(path, func(w io.Writer) error { return WritePacked(w, g, rm, opt) })
+func WritePackedFile(path string, g *Graph, rm *Remapper) error {
+	return writeFileWith(path, func(w io.Writer) error { return WritePacked(w, g, rm) })
 }
 
 // labelSlice returns rm's first n labels as a contiguous slice,
@@ -227,43 +192,6 @@ func labelSlice(rm *Remapper, n int) []int64 {
 		return out
 	}
 	return rm.labels[:n]
-}
-
-// relabelByDegree returns a copy of g with nodes renumbered in
-// degree-descending order (ties broken by old id ascending) and a remapper
-// carrying the original external labels under the new ids.
-func relabelByDegree(g *Graph, rm *Remapper) (*Graph, *Remapper, error) {
-	n := g.NumNodes()
-	byDeg := make([]NodeID, n)
-	for u := range byDeg {
-		byDeg[u] = NodeID(u)
-	}
-	sort.Slice(byDeg, func(i, j int) bool {
-		du, dv := g.Degree(byDeg[i]), g.Degree(byDeg[j])
-		if du != dv {
-			return du > dv
-		}
-		return byDeg[i] < byDeg[j]
-	})
-	newID := make([]NodeID, n)
-	labels := make([]int64, n)
-	for rank, old := range byDeg {
-		newID[old] = NodeID(rank)
-		if rm != nil {
-			labels[rank] = rm.Label(old)
-		} else {
-			labels[rank] = int64(old)
-		}
-	}
-	keys := make([]uint64, 0, g.NumEdges())
-	for _, e := range g.Edges() {
-		keys = append(keys, packKey(newID[e.U], newID[e.V]))
-	}
-	rg, err := graphFromKeys(n, keys)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rg, RemapperFromLabels(labels), nil
 }
 
 // sectionEncoder streams typed arrays as little-endian bytes through a

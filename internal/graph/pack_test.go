@@ -37,10 +37,10 @@ func loadTestGraph(t *testing.T, text string) (*Graph, *Remapper) {
 }
 
 // packToFile writes g to a temp .esc file and returns the path.
-func packToFile(t *testing.T, g *Graph, rm *Remapper, opt PackWriteOptions) string {
+func packToFile(t *testing.T, g *Graph, rm *Remapper) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.esc")
-	if err := WritePackedFile(path, g, rm, opt); err != nil {
+	if err := WritePackedFile(path, g, rm); err != nil {
 		t.Fatalf("WritePackedFile: %v", err)
 	}
 	return path
@@ -93,15 +93,12 @@ func requireSameGraph(t *testing.T, got, want *Graph, gotRM, wantRM *Remapper) {
 
 func TestPackedRoundTrip(t *testing.T) {
 	g, rm := loadTestGraph(t, testEdgeListText(300, 2000, 1))
-	path := packToFile(t, g, rm, PackWriteOptions{})
+	path := packToFile(t, g, rm)
 	p, err := OpenPacked(path)
 	if err != nil {
 		t.Fatalf("OpenPacked: %v", err)
 	}
 	defer p.Close()
-	if p.DegreeOrdered {
-		t.Error("OrderKeep file claims DegreeOrdered")
-	}
 	requireSameGraph(t, p.Graph(), g, p.Remapper(), rm)
 	if err := p.Graph().Validate(); err != nil {
 		t.Errorf("packed graph invalid: %v", err)
@@ -119,7 +116,7 @@ func TestPackedIdentityLabels(t *testing.T) {
 	// Dense 0..n-1 input in order: labels are the identity and the Labels
 	// section must be omitted.
 	g := MustFromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	dense := packToFile(t, g, nil, PackWriteOptions{})
+	dense := packToFile(t, g, nil)
 	fi, err := os.Stat(dense)
 	if err != nil {
 		t.Fatal(err)
@@ -140,49 +137,26 @@ func TestPackedIdentityLabels(t *testing.T) {
 	}
 }
 
+// TestPackedDegreeOrder pins that the format has one layout: the writer
+// keeps the graph's dense ids, even where a degree-descending relabel would
+// have moved them, and sets no flag but identity-labels.
 func TestPackedDegreeOrder(t *testing.T) {
-	g, rm := loadTestGraph(t, testEdgeListText(100, 600, 3))
-	path := packToFile(t, g, rm, PackWriteOptions{Order: OrderDegree})
+	// Node 2 has the highest degree.
+	g := MustFromEdges(4, []Edge{{0, 2}, {1, 2}, {2, 3}})
+	path := packToFile(t, g, nil)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flags := binary.LittleEndian.Uint64(data[8:16]); flags != packFlagIdentityLabels {
+		t.Fatalf("header flags = %#x, want only the identity-labels bit %#x", flags, packFlagIdentityLabels)
+	}
 	p, err := OpenPacked(path)
 	if err != nil {
 		t.Fatalf("OpenPacked: %v", err)
 	}
 	defer p.Close()
-	if !p.DegreeOrdered {
-		t.Error("OrderDegree file does not claim DegreeOrdered")
-	}
-	pg := p.Graph()
-	if pg.NumNodes() != g.NumNodes() || pg.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape changed by relabel: |V|=%d |E|=%d", pg.NumNodes(), pg.NumEdges())
-	}
-	for u := 1; u < pg.NumNodes(); u++ {
-		if pg.Degree(NodeID(u)) > pg.Degree(NodeID(u-1)) {
-			t.Fatalf("degrees not descending: deg(%d)=%d > deg(%d)=%d",
-				u, pg.Degree(NodeID(u)), u-1, pg.Degree(NodeID(u-1)))
-		}
-	}
-	// The edge multiset under original labels must be preserved.
-	want := make(map[[2]int64]bool, g.NumEdges())
-	for _, e := range g.Edges() {
-		a, b := rm.Label(e.U), rm.Label(e.V)
-		if a > b {
-			a, b = b, a
-		}
-		want[[2]int64{a, b}] = true
-	}
-	for _, e := range pg.Edges() {
-		a, b := p.Remapper().Label(e.U), p.Remapper().Label(e.V)
-		if a > b {
-			a, b = b, a
-		}
-		if !want[[2]int64{a, b}] {
-			t.Fatalf("edge (%d,%d) not in the original graph", a, b)
-		}
-		delete(want, [2]int64{a, b})
-	}
-	if len(want) != 0 {
-		t.Fatalf("%d original edges missing after relabel", len(want))
-	}
+	requireSameGraph(t, p.Graph(), g, p.Remapper(), IdentityRemapper(4))
 }
 
 func TestSaveLoadFilePacked(t *testing.T) {
@@ -230,7 +204,7 @@ func editHeader(t *testing.T, path string, mutate func(data []byte)) {
 
 func TestPackedCorruption(t *testing.T) {
 	g, rm := loadTestGraph(t, testEdgeListText(60, 300, 7))
-	pack := func(t *testing.T) string { return packToFile(t, g, rm, PackWriteOptions{}) }
+	pack := func(t *testing.T) string { return packToFile(t, g, rm) }
 	mustFail := func(t *testing.T, path, wantSub string) {
 		t.Helper()
 		if _, err := OpenPacked(path); err == nil {
@@ -296,8 +270,8 @@ func TestPackedCorruption(t *testing.T) {
 	})
 	t.Run("flipped-degree-ordered-flag", func(t *testing.T) {
 		path := pack(t)
-		editHeader(t, path, func(data []byte) { data[8] |= packFlagDegreeOrdered })
-		mustFail(t, path, "degree-ordered")
+		editHeader(t, path, func(data []byte) { data[8] |= 1 << 0 })
+		mustFail(t, path, "unknown flag bits 0x1")
 	})
 	t.Run("checksum-mismatch", func(t *testing.T) {
 		path := pack(t)
@@ -390,7 +364,7 @@ func TestPackedFileSize(t *testing.T) {
 		{"labels", sparse, rm, true},
 		{"identity", dense, nil, false},
 	} {
-		fi, err := os.Stat(packToFile(t, tc.g, tc.rm, PackWriteOptions{}))
+		fi, err := os.Stat(packToFile(t, tc.g, tc.rm))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +384,7 @@ func TestPackedFileSize(t *testing.T) {
 func TestWritePackedStreams(t *testing.T) {
 	g, rm := loadTestGraph(t, testEdgeListText(40, 150, 11))
 	var buf bytes.Buffer
-	if err := WritePacked(&buf, g, rm, PackWriteOptions{}); err != nil {
+	if err := WritePacked(&buf, g, rm); err != nil {
 		t.Fatalf("WritePacked: %v", err)
 	}
 	p, err := loadPacked(buf.Bytes(), int64(buf.Len()))

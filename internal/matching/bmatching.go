@@ -138,42 +138,3 @@ func (m *BMatching) VerifyMaximal(g *graph.Graph, caps []int) error {
 	}
 	return nil
 }
-
-// WeightedEdge is an edge with a weight, input to the bipartite matcher.
-type WeightedEdge struct {
-	E graph.Edge
-	W float64
-}
-
-// GreedyBipartite computes a greedy maximum-weight matching of a bipartite
-// edge set where every node may be matched at most once: edges are taken in
-// non-increasing weight order, skipping edges with an already-matched
-// endpoint. This is the classic 1/2-approximation; BM2's Algorithm 3 in
-// internal/core extends it with capacity re-weighting on the A side.
-func GreedyBipartite(edges []WeightedEdge) []WeightedEdge {
-	sorted := append([]WeightedEdge(nil), edges...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].W > sorted[j].W })
-	// Matched flags live in a []bool over the dense node-id range instead of
-	// a map: ids are dense everywhere in this repository, so the flat array
-	// is both smaller and branch-predictable.
-	maxID := graph.NodeID(-1)
-	for _, we := range edges {
-		if we.E.U > maxID {
-			maxID = we.E.U
-		}
-		if we.E.V > maxID {
-			maxID = we.E.V
-		}
-	}
-	used := make([]bool, maxID+1)
-	var out []WeightedEdge
-	for _, we := range sorted {
-		if used[we.E.U] || used[we.E.V] {
-			continue
-		}
-		used[we.E.U] = true
-		used[we.E.V] = true
-		out = append(out, we)
-	}
-	return out
-}

@@ -189,58 +189,6 @@ func TestGreedyBMatchingHalfApproxGeneralCaps(t *testing.T) {
 	}
 }
 
-func TestGreedyBipartite(t *testing.T) {
-	// A-side {0,1}, B-side {10,11}: weights force specific picks.
-	edges := []WeightedEdge{
-		{E: graph.Edge{U: 0, V: 10}, W: 5},
-		{E: graph.Edge{U: 0, V: 11}, W: 4},
-		{E: graph.Edge{U: 1, V: 10}, W: 3},
-		{E: graph.Edge{U: 1, V: 11}, W: 1},
-	}
-	got := GreedyBipartite(edges)
-	if len(got) != 2 {
-		t.Fatalf("matched %d edges, want 2", len(got))
-	}
-	if got[0].W != 5 {
-		t.Errorf("first pick weight = %v, want 5", got[0].W)
-	}
-	// 0 and 10 are used, so second pick must be (1, 11).
-	if got[1].E != (graph.Edge{U: 1, V: 11}) {
-		t.Errorf("second pick = %v, want (1,11)", got[1].E)
-	}
-}
-
-func TestGreedyBipartiteNodeExclusive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var edges []WeightedEdge
-		for i := 0; i < 40; i++ {
-			edges = append(edges, WeightedEdge{
-				E: graph.Edge{U: graph.NodeID(rng.Intn(10)), V: graph.NodeID(10 + rng.Intn(10))},
-				W: rng.Float64(),
-			})
-		}
-		out := GreedyBipartite(edges)
-		seen := make(map[graph.NodeID]bool)
-		for _, we := range out {
-			if seen[we.E.U] || seen[we.E.V] {
-				return false
-			}
-			seen[we.E.U], seen[we.E.V] = true, true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGreedyBipartiteEmptyInput(t *testing.T) {
-	if got := GreedyBipartite(nil); len(got) != 0 {
-		t.Errorf("GreedyBipartite(nil) = %v", got)
-	}
-}
-
 // TestGreedyBMatchingIDsAligned pins the Edges/IDs contract across every
 // scan order: IDs[i] is the position of Edges[i] in g.Edges(), so callers may
 // mark matched edges in a []bool indexed by canonical edge id.

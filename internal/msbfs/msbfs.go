@@ -113,13 +113,6 @@ type Traversal struct {
 	unvisited []graph.NodeID
 
 	stats Stats
-
-	// OnSwitch, when non-nil, is called at every direction switch with the
-	// level about to be expanded and the new direction (true = bottom-up).
-	// It is an observation seam — msbfs stays import-free of obs — and
-	// must not mutate traversal state: the engine's outputs are
-	// bit-identical with or without it.
-	OnSwitch func(level int, bottomUp bool)
 }
 
 // New returns a Traversal over c running width sources per batch (clamped
@@ -225,16 +218,10 @@ func (t *Traversal) Run(srcs []graph.NodeID) {
 			if scoutSlots > remSlots/bfsAlpha {
 				bottomUp = true
 				t.stats.Switches++
-				if t.OnSwitch != nil {
-					t.OnSwitch(len(t.levelOff)-1, true)
-				}
 			}
 		} else if len(t.frontier) < n/bfsBeta {
 			bottomUp = false
 			t.stats.Switches++
-			if t.OnSwitch != nil {
-				t.OnSwitch(len(t.levelOff)-1, false)
-			}
 		}
 		if bottomUp {
 			t.stats.BottomUpLevels++

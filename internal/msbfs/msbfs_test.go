@@ -279,66 +279,3 @@ func TestRunRejectsBadBatches(t *testing.T) {
 		}()
 	}
 }
-
-// TestOnSwitchCallback pins the observation seam: OnSwitch fires exactly
-// once per recorded direction switch with the current level and direction,
-// and a nil callback (the disabled-obs path) traverses identically.
-func TestOnSwitchCallback(t *testing.T) {
-	g := gen.BarabasiAlbert(500, 4, 9)
-	c := g.CSR()
-	srcs := make([]graph.NodeID, 64)
-	for i := range srcs {
-		srcs[i] = graph.NodeID(i)
-	}
-
-	plain := New(c, 64, false)
-	plain.Run(srcs)
-	want := levelDists(t, plain, len(srcs), c.NumNodes())
-
-	tr := New(c, 64, false)
-	type sw struct {
-		level    int
-		bottomUp bool
-	}
-	var calls []sw
-	tr.OnSwitch = func(level int, bottomUp bool) {
-		calls = append(calls, sw{level, bottomUp})
-	}
-	tr.Run(srcs)
-
-	if int64(len(calls)) != tr.Stats().Switches {
-		t.Fatalf("OnSwitch fired %d times, Stats().Switches = %d", len(calls), tr.Stats().Switches)
-	}
-	if len(calls) == 0 {
-		t.Fatal("no switches on a dense 64-wide BA batch; the test exercises nothing")
-	}
-	// Directions alternate (each switch flips the mode) and the first one on
-	// a fresh batch is into bottom-up.
-	if !calls[0].bottomUp {
-		t.Errorf("first switch direction = top-down, want bottom-up")
-	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i].bottomUp == calls[i-1].bottomUp {
-			t.Errorf("switch %d repeats direction %v", i, calls[i].bottomUp)
-		}
-		if calls[i].level <= calls[i-1].level {
-			t.Errorf("switch levels not increasing: %d then %d", calls[i-1].level, calls[i].level)
-		}
-	}
-	for _, s := range calls {
-		if s.level <= 0 || s.level >= tr.NumLevels() {
-			t.Errorf("switch at level %d outside (0, %d)", s.level, tr.NumLevels())
-		}
-	}
-
-	// The callback must not perturb the traversal: levels bit-identical to
-	// the un-observed run.
-	got := levelDists(t, tr, len(srcs), c.NumNodes())
-	for s := range got {
-		for u := range got[s] {
-			if got[s][u] != want[s][u] {
-				t.Fatalf("observed run diverged at source %d node %d: %d vs %d", s, u, got[s][u], want[s][u])
-			}
-		}
-	}
-}

@@ -119,7 +119,6 @@ var metricHelp = map[string]string{
 	"flatpq.pushes":              "Flat priority-queue push operations.",
 	"flatpq.removes":             "Flat priority-queue remove operations.",
 	"flatpq.updates":             "Flat priority-queue update operations.",
-	"heap_alloc_bytes":           "Live heap bytes at sample time.",
 	"ingest.bytes":               "Input bytes ingested.",
 	"ingest.edges":               "Edges ingested.",
 	"ingest.lines":               "Input lines ingested.",

@@ -18,7 +18,6 @@ package uds
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"edgeshed/internal/centrality"
 	"edgeshed/internal/graph"
@@ -444,17 +443,4 @@ func (st *state) merge(a, b int32, dU float64) {
 func (s *Summary) String() string {
 	return fmt.Sprintf("uds.Summary{supernodes=%d merges=%d utility=%.3f}",
 		s.NumSupernodes(), s.Merges, s.Utility)
-}
-
-// SuperSizes returns the member count of each alive supernode, sorted
-// descending; useful for inspecting how aggressive a summary is.
-func (s *Summary) SuperSizes() []int {
-	var sizes []int
-	for _, m := range s.Members {
-		if m != nil {
-			sizes = append(sizes, len(m))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }

@@ -95,25 +95,6 @@ func TestSuperOfPartition(t *testing.T) {
 	}
 }
 
-func TestSuperSizes(t *testing.T) {
-	g := gen.BarabasiAlbert(100, 3, 5)
-	sum, err := Summarizer{Tau: 0.4}.Summarize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := sum.SuperSizes()
-	total := 0
-	for i, s := range sizes {
-		if i > 0 && s > sizes[i-1] {
-			t.Error("SuperSizes not sorted descending")
-		}
-		total += s
-	}
-	if total != g.NumNodes() {
-		t.Errorf("sizes sum to %d, want %d", total, g.NumNodes())
-	}
-}
-
 func TestExpandedGraphShape(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 6)
 	sum, err := Summarizer{Tau: 0.5}.Summarize(g)
